@@ -1,10 +1,12 @@
 """Classical truth-table semantics: evaluation, equivalence with
 counterexample extraction, law checking under connective substitution, and
-the meet/join duality transform.
+the meet/join duality transform, over one truth-table kernel.
 
-Counterexamples are deterministic: assignments enumerate lexicographically
-over sorted atom names with True before False (all-true first), and the
-first witness in that order is reported.
+World order, shared by every module that searches truth assignments:
+`assignments(names)` enumerates lexicographically over the names with True
+before False, so assignment 0 is the all-true world. `truth_mask` encodes
+the same order as bits, bit i standing for assignment i (`world(names, i)`).
+The first witness in this order (the lowest set bit) is the one reported.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import AtomLimitError, MissingAtomError, UnsupportedConnectiveError
 from .formula import (
@@ -28,15 +30,21 @@ from .formula import (
     TOp,
     TVar,
     Template,
-    Xor,
     atom_names,
     instantiate,
-    template_vars,
+    parse,
 )
 
 Assignment = Mapping[str, bool]
 
 ATOM_LIMIT = 12  # beyond this, exhaustive evaluation is refused
+
+# _ATOM_MASKS[n][j]: the worlds over n names where name j is true, that is
+# runs of 2^(n-1-j) set bits alternating with as many clear bits.
+_ATOM_MASKS = tuple(
+    tuple(((1 << 2 ** n) - 1) // ((1 << 2 ** (n - j)) - 1) * ((1 << 2 ** (n - 1 - j)) - 1)
+          for j in range(n))
+    for n in range(ATOM_LIMIT + 1))
 
 
 def eval_formula(f: Formula, v: Assignment) -> bool:
@@ -55,13 +63,45 @@ def eval_formula(f: Formula, v: Assignment) -> bool:
     return eval_formula(f.left, v) != eval_formula(f.right, v)
 
 
-def assignments(names: list[str]) -> Iterator[dict[str, bool]]:
+def assignments(names: Sequence[str]) -> Iterator[dict[str, bool]]:
     """All assignments over names, all-true first, True before False."""
     if len(names) > ATOM_LIMIT:
         raise AtomLimitError(
             f"{len(names)} atoms exceed the exhaustive-evaluation limit {ATOM_LIMIT}")
     for bits in product([True, False], repeat=len(names)):
         yield dict(zip(names, bits))
+
+
+def truth_mask(f: Formula, names: Sequence[str]) -> int:
+    """The truth table of f over names as a bitset: bit i is set iff f holds
+    in the i-th of `assignments(names)`."""
+    if len(names) > ATOM_LIMIT:
+        raise AtomLimitError(
+            f"{len(names)} atoms exceed the exhaustive-evaluation limit {ATOM_LIMIT}")
+    masks = dict(zip(names, _ATOM_MASKS[len(names)]))
+    universe = (1 << 2 ** len(names)) - 1
+
+    def go(node: Formula) -> int:
+        if isinstance(node, AtomNode):
+            try:
+                return masks[node.atom.name]
+            except KeyError:
+                raise MissingAtomError(
+                    f"atom {node.atom.name!r} is not among {list(names)}") from None
+        if isinstance(node, Not):
+            return universe ^ go(node.child)
+        if isinstance(node, And):
+            return go(node.left) & go(node.right)
+        if isinstance(node, Or):
+            return go(node.left) | go(node.right)
+        return go(node.left) ^ go(node.right)
+
+    return go(f)
+
+
+def world(names: Sequence[str], i: int) -> dict[str, bool]:
+    """The i-th of `assignments(names)`, read off bit i of the atom masks."""
+    return {name: bool(m >> i & 1) for name, m in zip(names, _ATOM_MASKS[len(names)])}
 
 
 class Verdict(Enum):
@@ -84,15 +124,16 @@ def equivalent(f: Formula, g: Formula) -> LawVerdict:
     """Valid iff f and g agree on every assignment over their combined
     atoms; otherwise carries the first witnessing assignment."""
     names = sorted(set(atom_names(f)) | set(atom_names(g)))
-    for v in assignments(names):
-        if eval_formula(f, v) != eval_formula(g, v):
-            return LawVerdict(Verdict.INVALID, counterexample=v)
-    return LawVerdict(Verdict.VALID)
+    differ = truth_mask(f, names) ^ truth_mask(g, names)
+    if not differ:
+        return LawVerdict(Verdict.VALID)
+    first = (differ & -differ).bit_length() - 1
+    return LawVerdict(Verdict.INVALID, counterexample=world(names, first))
 
 
 def entails(f: Formula, g: Formula) -> bool:
     names = sorted(set(atom_names(f)) | set(atom_names(g)))
-    return all(eval_formula(g, v) for v in assignments(names) if eval_formula(f, v))
+    return truth_mask(f, names) & ~truth_mask(g, names) == 0
 
 
 def check_law(schema: LawSchema) -> LawVerdict:
@@ -130,8 +171,6 @@ def xor_parity(n: int) -> bool:
     if not 1 <= n <= ATOM_LIMIT:
         raise AtomLimitError(f"n must be in 1..{ATOM_LIMIT}, got {n}")
     names = [f"P{i}" for i in range(1, n + 1)]
-    chain: Formula = AtomNode(Atom(names[-1]))
-    for name in reversed(names[:-1]):
-        chain = Xor(AtomNode(Atom(name)), chain)
-    return all(eval_formula(chain, v) == (sum(v.values()) % 2 == 1)
-               for v in assignments(names))
+    chain = parse(" xor ".join(names))  # xor associates to the right
+    odd = sum(1 << i for i, v in enumerate(assignments(names)) if sum(v.values()) % 2)
+    return truth_mask(chain, names) == odd

@@ -12,14 +12,16 @@ Grammar (lowercase keywords, right-associative binary connectives):
 `and` binds tighter than `or`/`xor`; `not` tighter than `and`. Every Or node
 carries a coefficient id, numbered 0,1,... in textual order of the `or`
 keywords. An atom name has one aspect per formula; unannotated occurrences
-default to stative unless another occurrence declares an aspect.
+default to stative unless another occurrence declares an aspect. Nesting is
+limited to MAX_DEPTH levels, counting each "(", each "not" and each right
+operand of a binary connective.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import ParseError, UnboundMetavariableError, UnknownLabelError
 
@@ -138,6 +140,10 @@ def or_nodes(f: Formula) -> list[tuple[tuple[int, ...], Or]]:
 # ---------------------------------------------------------------------------
 # Parsing
 
+# Deep enough for any hand-written formula, and shallow enough that every
+# recursive walk over the parse tree stays far from Python's recursion limit.
+MAX_DEPTH = 100
+
 _TOKEN_RE = re.compile(r"(?P<word>[A-Za-z][A-Za-z0-9_]*)|(?P<punct>[():])")
 _KEYWORDS = {"and", "or", "xor", "not"}
 
@@ -187,6 +193,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
         self.next_coeff = 0
+        self.depth = 0
         # name -> (aspect or None if only defaulted, position of first annotation)
         self.aspects: dict[str, tuple[str | None, int]] = {}
 
@@ -197,6 +204,15 @@ class _Parser:
             raise ParseError(f"unexpected {value!r}", pos)
         return self._apply_aspects(f)
 
+    def _nested(self, parse_part: Callable[[], Formula]) -> Formula:
+        if self.depth == MAX_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels",
+                             self.toks.peek()[2])
+        self.depth += 1
+        f = parse_part()
+        self.depth -= 1
+        return f
+
     def _expr(self) -> Formula:
         left = self._conj()
         kind, _, _ = self.toks.peek()
@@ -204,29 +220,29 @@ class _Parser:
             self.toks.take()
             cid = self.next_coeff
             self.next_coeff += 1
-            return Or(left, self._expr(), cid)
+            return Or(left, self._nested(self._expr), cid)
         if kind == "xor":
             self.toks.take()
-            return Xor(left, self._expr())
+            return Xor(left, self._nested(self._expr))
         return left
 
     def _conj(self) -> Formula:
         left = self._unary()
         if self.toks.peek()[0] == "and":
             self.toks.take()
-            return And(left, self._conj())
+            return And(left, self._nested(self._conj))
         return left
 
     def _unary(self) -> Formula:
         if self.toks.peek()[0] == "not":
             self.toks.take()
-            return Not(self._unary())
+            return Not(self._nested(self._unary))
         return self._primary()
 
     def _primary(self) -> Formula:
         kind, value, pos = self.toks.take()
         if kind == "(":
-            inner = self._expr()
+            inner = self._nested(self._expr)
             self.toks.expect(")")
             return inner
         if kind == "name":
@@ -359,12 +375,6 @@ def corpus_lookup(label: str) -> Formula:
         raise UnknownLabelError(
             f"unknown corpus label {label!r}; known: {', '.join(CORPUS_LABELS)}") from None
     return parse(text)
-
-
-def corpus_text(label: str) -> str:
-    if label not in _CORPUS_TEXT:
-        raise UnknownLabelError(f"unknown corpus label {label!r}")
-    return _CORPUS_TEXT[label]
 
 
 # ---------------------------------------------------------------------------

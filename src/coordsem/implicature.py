@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .boolean import eval_formula
+from .boolean import truth_mask, world
 from .errors import AtomLimitError, WorkbenchError
 from .formula import And, Formula, Not, Or, atom_names, subformulas, unparse
 
@@ -58,16 +57,10 @@ class EpistemicConstraint:
     source: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(atom_names(self.body))
-        if n > EPISTEMIC_ATOM_LIMIT:
-            raise AtomLimitError(
-                f"constraint body has {n} atoms; limit is {EPISTEMIC_ATOM_LIMIT}")
+        _check_atom_limit(atom_names(self.body))
 
     def __str__(self) -> str:
         return f"{self.polarity.value}({unparse(self.body)})"
-
-    def semantic_key(self) -> tuple[Polarity, Formula]:
-        return (self.polarity, self.body)
 
     def serialize(self) -> dict[str, object]:
         return {
@@ -78,19 +71,19 @@ class EpistemicConstraint:
         }
 
 
-BeliefModel = tuple[dict[str, bool], ...]  # nonempty, worlds in canonical order
+BeliefModel = tuple[dict[str, bool], ...]  # nonempty, worlds in boolean's world order
 
 
-def _check_atom_limit(f: Formula) -> None:
-    n = len(atom_names(f))
-    if n > EPISTEMIC_ATOM_LIMIT:
-        raise AtomLimitError(f"{n} atoms exceed the epistemic limit {EPISTEMIC_ATOM_LIMIT}")
+def _check_atom_limit(names: Sequence[str]) -> None:
+    if len(names) > EPISTEMIC_ATOM_LIMIT:
+        raise AtomLimitError(
+            f"{len(names)} atoms exceed the epistemic limit {EPISTEMIC_ATOM_LIMIT}")
 
 
 def assertions(f: Formula) -> list[EpistemicConstraint]:
     """K of the asserted content. For a top-level And the conjuncts are
     asserted too; they are emitted first, the whole sentence last."""
-    _check_atom_limit(f)
+    _check_atom_limit(atom_names(f))
     out = []
     if isinstance(f, And):
         out.append(EpistemicConstraint(Polarity.K, f.left, Provenance.ASSERTION, (0,)))
@@ -113,7 +106,7 @@ def potential_clausal(f: Formula) -> list[EpistemicConstraint]:
     notK(psi) and notK(not psi). Duplicates collapse within a node (an
     or-node with identical disjuncts contributes one pair); distinct nodes
     keep distinct entries."""
-    _check_atom_limit(f)
+    _check_atom_limit(atom_names(f))
     out = []
     for path, node in _ordered_or_paths(f):
         for disjunct in (node.left, node.right):
@@ -133,7 +126,7 @@ def potential_scalar(
     form notK(psi and chi) is always emitted; the strong form
     K(not (psi and chi)) by default in gazdar mode, and in soames mode only
     for or-nodes (by coeff_id) listed as opinionated."""
-    _check_atom_limit(f)
+    _check_atom_limit(atom_names(f))
     out = []
     for path, node in _ordered_or_paths(f):
         both = And(node.left, node.right)
@@ -150,30 +143,20 @@ def consistent(
 ) -> tuple[bool, Optional[BeliefModel]]:
     """Satisfiability by a belief model, with the least witness.
 
-    Worlds over the union of the constraints' atoms are ordered all-true
-    first; candidate models are the nonempty subsets of the worlds
-    satisfying every K-body, enumerated by increasing bitmask, and the
-    first model meeting every notK constraint is returned."""
+    Candidate models are the nonempty sets of worlds over the union of the
+    constraints' atoms that satisfy every K-body, as bitsets in the world
+    order of `coordsem.boolean`, enumerated by increasing value; the first
+    model meeting every notK constraint is returned."""
     constraints = list(constraints)
     names = sorted({a for c in constraints for a in atom_names(c.body)})
-    if len(names) > EPISTEMIC_ATOM_LIMIT:
-        raise AtomLimitError(
-            f"{len(names)} atoms exceed the epistemic limit {EPISTEMIC_ATOM_LIMIT}")
-    worlds = [dict(zip(names, bits)) for bits in product([True, False], repeat=len(names))]
-
-    def mask_of(body: Formula) -> int:
-        m = 0
-        for i, w in enumerate(worlds):
-            if eval_formula(body, w):
-                m |= 1 << i
-        return m
-
-    universe = (1 << len(worlds)) - 1
+    _check_atom_limit(names)
+    universe = (1 << 2 ** len(names)) - 1
     k_mask = universe
     for c in constraints:
         if c.polarity is Polarity.K:
-            k_mask &= mask_of(c.body)
-    notk_masks = [mask_of(c.body) for c in constraints if c.polarity is Polarity.NOT_K]
+            k_mask &= truth_mask(c.body, names)
+    notk_masks = [truth_mask(c.body, names) for c in constraints
+                  if c.polarity is Polarity.NOT_K]
 
     # Satisfiable iff some K-world exists and every notK-body fails at some
     # K-world; the subset scan below then only runs when a witness exists.
@@ -183,7 +166,8 @@ def consistent(
         if candidate & ~k_mask:
             continue
         if all(candidate & ~m for m in notk_masks):
-            model = tuple(w for i, w in enumerate(worlds) if candidate & (1 << i))
+            model = tuple(world(names, i) for i in range(candidate.bit_length())
+                          if candidate >> i & 1)
             return True, model
     raise AssertionError("unreachable: satisfiable set with no witness found")
 

@@ -1,9 +1,10 @@
 """Exact-rational probability over truth assignments, and exhaustive grid
 searches for counterexamples to relevance facts about the connectives.
 
-Distributions assign Fraction masses to the truth assignments (cells) over a
-fixed atom tuple; all arithmetic is exact, and likelihood-ratio comparisons
-are decided by cross-multiplication rather than floating logarithms.
+Distributions assign Fraction masses to the truth assignments over a fixed
+atom tuple, in the world order of `coordsem.boolean`; all arithmetic is
+exact, and likelihood-ratio comparisons are decided by cross-multiplication
+rather than floating logarithms.
 """
 
 from __future__ import annotations
@@ -11,28 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
 from math import comb
 from typing import Iterator, Optional, Sequence
 
-from .boolean import eval_formula
-from .errors import MissingAtomError, SizeLimitError, ZeroProbabilityError
-from .formula import And, Atom, AtomNode, Formula, Not, Or, atom_names
+from .boolean import assignments, truth_mask
+from .errors import SizeLimitError, ZeroProbabilityError
+from .formula import And, Atom, AtomNode, Formula, Not, Or
 
 GRID_ATOM_LIMIT = 3
 GRID_DENOMINATOR_LIMIT = 12
 
 
-def cells(atoms: tuple[str, ...]) -> list[tuple[bool, ...]]:
-    """Truth assignments over atoms in canonical order (all-true first)."""
-    return list(product([True, False], repeat=len(atoms)))
-
-
 @dataclass(frozen=True)
 class RationalDist:
     """Probability distribution over the truth assignments of `atoms`;
-    masses align with cells() order, are nonnegative and sum to exactly 1."""
+    masses follow `assignments(atoms)`, are nonnegative and sum to exactly 1."""
 
     atoms: tuple[str, ...]
     masses: tuple[Fraction, ...]
@@ -51,7 +45,8 @@ class RationalDist:
     def from_cells(cls, atoms: Sequence[str],
                    table: dict[tuple[bool, ...], Fraction]) -> "RationalDist":
         ordered = tuple(sorted(atoms))
-        return cls(ordered, tuple(table.get(c, Fraction(0)) for c in cells(ordered)))
+        return cls(ordered, tuple(table.get(tuple(v.values()), Fraction(0))
+                                  for v in assignments(ordered)))
 
     @classmethod
     def uniform(cls, atoms: Sequence[str]) -> "RationalDist":
@@ -60,9 +55,9 @@ class RationalDist:
 
     def serialize(self) -> list[list[object]]:
         out = []
-        for cell, mass in zip(cells(self.atoms), self.masses):
+        for v, mass in zip(assignments(self.atoms), self.masses):
             if mass:
-                key = ",".join(f"{a}={'1' if b else '0'}" for a, b in zip(self.atoms, cell))
+                key = ",".join(f"{a}={'1' if b else '0'}" for a, b in v.items())
                 out.append([key, str(mass)])
         return out
 
@@ -70,22 +65,11 @@ class RationalDist:
         return "{" + ", ".join(f"{k}: {v}" for k, v in self.serialize()) + "}"
 
 
-@lru_cache(maxsize=None)
-def _satisfying_cells(atoms: tuple[str, ...], f: Formula) -> tuple[int, ...]:
-    out = []
-    for i, cell in enumerate(cells(atoms)):
-        if eval_formula(f, dict(zip(atoms, cell))):
-            out.append(i)
-    return tuple(out)
-
-
 def prob(d: RationalDist, f: Formula) -> Fraction:
     """Probability of the event described by f: the mass of its satisfying
     assignments."""
-    unknown = set(atom_names(f)) - set(d.atoms)
-    if unknown:
-        raise MissingAtomError(f"distribution lacks atoms {sorted(unknown)}")
-    return sum((d.masses[i] for i in _satisfying_cells(d.atoms, f)), Fraction(0))
+    mask = truth_mask(f, d.atoms)
+    return sum((m for i, m in enumerate(d.masses) if mask >> i & 1), Fraction(0))
 
 
 def cond_prob(d: RationalDist, f: Formula, g: Formula) -> Fraction:

@@ -8,13 +8,11 @@ or the probability searches surfaces as a mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import implicature as imp
 from .boolean import LawVerdict, check_law, equivalent, eval_formula, xor_parity
 from .formula import (
     STANDARD_LAWS,
-    And,
     Atom,
     AtomNode,
     Formula,
@@ -34,7 +32,6 @@ from .prospect import (
     option_equivalent,
 )
 from .relevance import (
-    SearchStatus,
     check_disjunction_corollary,
     check_explosion_irrelevance,
     check_frege_theorem,
@@ -329,23 +326,6 @@ def build_records() -> list[ReportRecord]:
             + probability_records())
 
 
-# ---------------------------------------------------------------------------
-# Rendering
-
-def render_records_text(records: list[ReportRecord]) -> str:
-    lines = []
-    width = max(len(r.claim) for r in records)
-    for r in records:
-        lines.append(f"{r.status.upper():<8}  {r.claim:<{width}}  {r.inputs}")
-        if not r.matches:
-            lines.append(f"          expected: {r.expected!r}")
-            lines.append(f"          computed: {r.computed!r}")
-    mismatches = sum(1 for r in records if not r.matches)
-    lines.append(f"{len(records)} claims, {len(records) - mismatches} match, "
-                 f"{mismatches} mismatch")
-    return "\n".join(lines) + "\n"
-
-
 def summarize(records: list[ReportRecord]) -> dict[str, object]:
     return {
         "claims": len(records),
@@ -353,6 +333,3 @@ def summarize(records: list[ReportRecord]) -> dict[str, object]:
         "mismatches": sum(1 for r in records if not r.matches),
     }
 
-
-def exit_code(records: list[ReportRecord]) -> int:
-    return 0 if all(r.matches for r in records) else 1

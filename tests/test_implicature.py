@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from coordsem import (
     AtomLimitError,
     AtomNode,
     Mode,
+    Not,
     Or,
     Polarity,
     Provenance,
@@ -22,9 +25,10 @@ from coordsem import (
     potential_clausal,
     potential_scalar,
     project,
+    eval_formula,
     unparse,
 )
-from coordsem.formula import renumber_coefficients
+from coordsem.formula import atom_names, renumber_coefficients
 from coordsem.implicature import EpistemicConstraint
 
 
@@ -129,6 +133,42 @@ def test_consistent_atom_limit():
     with pytest.raises(AtomLimitError):
         consistent([_c(Polarity.K, "A"), _c(Polarity.K, "B"), _c(Polarity.K, "C"),
                     _c(Polarity.K, "D"), _c(Polarity.K, "E")])
+
+
+def reference_consistent(constraints):
+    """Belief-model search with one eval_formula call per world and body."""
+    names = sorted({a for c in constraints for a in atom_names(c.body)})
+    worlds = [dict(zip(names, bits)) for bits in product([True, False], repeat=len(names))]
+
+    def mask_of(body):
+        return sum(1 << i for i, w in enumerate(worlds) if eval_formula(body, w))
+
+    k_mask = (1 << len(worlds)) - 1
+    for c in constraints:
+        if c.polarity is Polarity.K:
+            k_mask &= mask_of(c.body)
+    notk_masks = [mask_of(c.body) for c in constraints if c.polarity is Polarity.NOT_K]
+    for candidate in range(1, k_mask + 1):
+        if candidate & ~k_mask == 0 and all(candidate & ~m for m in notk_masks):
+            return True, tuple(w for i, w in enumerate(worlds) if candidate >> i & 1)
+    return False, None
+
+
+_body = st.recursive(
+    st.builds(lambda n: AtomNode(Atom(n)), st.sampled_from("ABCD")),
+    lambda kids: st.one_of(st.builds(And, kids, kids),
+                           st.builds(lambda l, r: Or(l, r, 0), kids, kids),
+                           st.builds(Not, kids)),
+    max_leaves=4,
+)
+_constraint = st.builds(
+    lambda polarity, body: EpistemicConstraint(polarity, body, Provenance.ASSERTION, ()),
+    st.sampled_from(list(Polarity)), _body)
+
+
+@given(st.lists(_constraint, max_size=6))
+def test_consistent_matches_the_per_world_search(constraints):
+    assert consistent(constraints) == reference_consistent(constraints)
 
 
 def _suppressed_texts(report):

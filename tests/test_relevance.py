@@ -10,22 +10,30 @@ from hypothesis import given, strategies as st
 
 from coordsem import (
     And,
+    Atom,
+    AtomNode,
     MissingAtomError,
+    Not,
     Or,
     RationalDist,
     SearchStatus,
     SizeLimitError,
+    WorkbenchError,
+    Xor,
     ZeroProbabilityError,
     check_disjunction_corollary,
     check_explosion_irrelevance,
     check_frege_theorem,
     check_relevance_ordering,
     cond_prob,
+    eval_formula,
     grid,
     llr,
     parse,
     prob,
 )
+from coordsem.boolean import assignments
+from coordsem.formula import atom_names
 from coordsem.relevance import LikelihoodPair, grid_size
 
 F = Fraction
@@ -60,6 +68,37 @@ def test_prob_basics():
 def test_prob_unknown_atom():
     with pytest.raises(MissingAtomError):
         prob(RationalDist.uniform(["A"]), parse("B"))
+
+
+def reference_prob(d, f):
+    """The mass of the assignments on which eval_formula holds."""
+    return sum((m for v, m in zip(assignments(d.atoms), d.masses) if eval_formula(f, v)),
+               F(0))
+
+
+_event = st.recursive(
+    st.builds(lambda n: AtomNode(Atom(n)), st.sampled_from("ABC")),
+    lambda kids: st.one_of(st.builds(And, kids, kids),
+                           st.builds(lambda l, r: Or(l, r, 0), kids, kids),
+                           st.builds(Xor, kids, kids),
+                           st.builds(Not, kids)),
+    max_leaves=6,
+)
+
+
+@given(_event, st.sets(st.sampled_from("ABCD")), st.data())
+def test_prob_matches_the_per_assignment_sum(f, extra, data):
+    atoms = tuple(sorted(set(atom_names(f)) | extra))
+    weights = data.draw(st.lists(st.integers(0, 5), min_size=2 ** len(atoms),
+                                 max_size=2 ** len(atoms)).filter(any))
+    d = RationalDist(atoms, tuple(F(w, sum(weights)) for w in weights))
+    assert prob(d, f) == reference_prob(d, f)
+
+
+def test_prob_refuses_more_atoms_than_the_truth_table_limit():
+    wide = RationalDist.uniform([f"P{i:02d}" for i in range(13)])
+    with pytest.raises(WorkbenchError):
+        prob(wide, parse("P00"))
 
 
 def test_cond_prob():
