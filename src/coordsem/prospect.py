@@ -146,8 +146,12 @@ def denote_one(f: Formula, c: CoefficientAssignment) -> Prospect:
 
 
 def coefficient_assignments(f: Formula) -> Iterator[dict[int, int]]:
-    """All 2^k choices over f's Or nodes, all-ones first."""
+    """All 2^k choices over f's Or nodes, all-ones first. Each Or node needs
+    its own coeff_id: a shared one would tie the nodes' choices together."""
     ids = [node.coeff_id for _, node in or_nodes(f)]
+    for prev, cur in zip(ids, ids[1:]):  # or_nodes sorts by coeff_id
+        if prev == cur:
+            raise WorkbenchError(f"coefficient id {cur} is shared by more than one or-node")
     if len(ids) > COEFF_LIMIT:
         raise SizeLimitError(f"{len(ids)} or-nodes exceed the enumeration limit")
     for bits in product([1, 0], repeat=len(ids)):

@@ -5,6 +5,11 @@ Distributions assign Fraction masses to the truth assignments over a fixed
 atom tuple, in the world order of `coordsem.boolean`; all arithmetic is
 exact, and likelihood-ratio comparisons are decided by cross-multiplication
 rather than floating logarithms.
+
+The grid searches run on integer cell counts over the grid's common
+denominator: an event's mass is a sum of counts over its cells, and every
+premise and conclusion is an integer comparison by cross-multiplication.
+They build a distribution of Fraction masses only for a witness.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .boolean import assignments, truth_mask
 from .errors import SizeLimitError, ZeroProbabilityError
@@ -89,18 +94,27 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def grid(atoms: Sequence[str], denominator: int) -> Iterator[RationalDist]:
-    """Every distribution whose masses are multiples of 1/denominator;
-    there are C(denominator + 2^n - 1, 2^n - 1) of them."""
+def _grid_atoms(atoms: Sequence[str], denominator: int) -> tuple[str, ...]:
+    """The sorted atoms of a grid, once its size limits are checked."""
     if len(atoms) > GRID_ATOM_LIMIT:
         raise SizeLimitError(f"grids support at most {GRID_ATOM_LIMIT} atoms")
     if not 1 <= denominator <= GRID_DENOMINATOR_LIMIT:
         raise SizeLimitError(
             f"denominator must be in 1..{GRID_DENOMINATOR_LIMIT}, got {denominator}")
-    ordered = tuple(sorted(atoms))
-    n_cells = 2 ** len(ordered)
-    for combo in _compositions(denominator, n_cells):
-        yield RationalDist(ordered, tuple(Fraction(k, denominator) for k in combo))
+    return tuple(sorted(atoms))
+
+
+def _dist(atoms: tuple[str, ...], counts: tuple[int, ...], denominator: int) -> RationalDist:
+    """The grid point whose cell masses are counts / denominator."""
+    return RationalDist(atoms, tuple(Fraction(k, denominator) for k in counts))
+
+
+def grid(atoms: Sequence[str], denominator: int) -> Iterator[RationalDist]:
+    """Every distribution whose masses are multiples of 1/denominator;
+    there are C(denominator + 2^n - 1, 2^n - 1) of them."""
+    ordered = _grid_atoms(atoms, denominator)
+    for counts in _compositions(denominator, 2 ** len(ordered)):
+        yield _dist(ordered, counts, denominator)
 
 
 def grid_size(n_atoms: int, denominator: int) -> int:
@@ -141,6 +155,33 @@ def _counterexample(d: RationalDist, checked: int) -> SearchResult:
     return SearchResult(SearchStatus.COUNTEREXAMPLE, d, checked)
 
 
+# Outcomes of one premise-satisfying test at a grid point.
+_HOLDS, _BOUNDARY, _FAILS = range(3)
+
+
+def _search(atoms: Sequence[str], denominator: int, events: Sequence[Formula],
+            tests: Callable[..., Sequence[int]]) -> SearchResult:
+    """The integer loop of the grid searches. It walks the cell counts of
+    `grid(atoms, denominator)` in the same order. At each point it passes
+    `tests` the mass of every event times the denominator, an integer sum
+    over the event's cells; `tests` returns one outcome per premise-satisfying
+    test there. The first `_FAILS` ends the search with that point as the
+    witness; `_BOUNDARY` counts a weak inequality that held with equality."""
+    ordered = _grid_atoms(atoms, denominator)
+    n_cells = 2 ** len(ordered)
+    cells = [[i for i in range(n_cells) if mask >> i & 1]
+             for mask in (truth_mask(e, ordered) for e in events)]
+    checked = 0
+    equalities = 0
+    for counts in _compositions(denominator, n_cells):
+        for outcome in tests(*[sum(map(counts.__getitem__, c)) for c in cells]):
+            checked += 1
+            if outcome == _FAILS:
+                return _counterexample(_dist(ordered, counts, denominator), checked)
+            equalities += outcome == _BOUNDARY
+    return _no_counterexample(checked, equalities)
+
+
 _A, _B, _C, _H = (AtomNode(Atom(n)) for n in "ABCH")
 
 FREGE_PREMISE_VARIANTS = ("beta", "delta", "none")
@@ -165,23 +206,20 @@ def check_frege_theorem(
     for variant in premise_variants:
         if variant not in FREGE_PREMISE_VARIANTS:
             raise ValueError(f"unknown premise variant {variant!r}")
-    implication = Not(And(_A, Not(_C)))
-    checked = 0
-    for d in grid(("A", "C"), denominator):
-        if prob(d, implication) != 1:  # alpha
-            continue
-        pa, pc = prob(d, _A), prob(d, _C)
-        for variant in premise_variants:
-            if variant == "beta" and not (0 < pa < 1 and 0 < pc < 1):
-                continue
-            if variant == "delta" and not (pa != 0 and pc != 1):
-                continue
-            if variant == "none" and pa == 0:
-                continue
-            checked += 1
-            if not cond_prob(d, _C, _A) > pc:
-                return _counterexample(d, checked)
-    return _no_counterexample(checked)
+    den = denominator
+
+    def tests(implication: int, a: int, c: int, ac: int) -> list[int]:
+        if implication != den:  # alpha
+            return []
+        premises = {"beta": 0 < a < den and 0 < c < den,
+                    "delta": a != 0 and c != den,
+                    "none": a != 0}
+        # P(C|A) > P(C), that is ac / a > c / den; every variant needs a > 0
+        outcome = _HOLDS if ac * den > c * a else _FAILS
+        return [outcome for variant in premise_variants if premises[variant]]
+
+    return _search(("A", "C"), den,
+                   (Not(And(_A, Not(_C))), _A, _C, And(_A, _C)), tests)
 
 
 def check_disjunction_corollary(denominator: int) -> SearchResult:
@@ -189,21 +227,17 @@ def check_disjunction_corollary(denominator: int) -> SearchResult:
     disjunct is negatively relevant to the other: P(B|A) < P(B), and
     symmetrically P(A|B) < P(A). When additionally P(A and B) = 0, the
     negative relevance is extreme: P(B|A) = 0."""
-    disjunction = Or(_A, _B, 0)
-    both = And(_A, _B)
-    checked = 0
-    for d in grid(("A", "B"), denominator):
-        pa, pb = prob(d, _A), prob(d, _B)
-        if prob(d, disjunction) != 1 or not (0 < pa < 1 and 0 < pb < 1):
-            continue
-        checked += 1
-        pb_given_a = cond_prob(d, _B, _A)
-        pa_given_b = cond_prob(d, _A, _B)
-        if not (pb_given_a < pb and pa_given_b < pa):
-            return _counterexample(d, checked)
-        if prob(d, both) == 0 and pb_given_a != 0:
-            return _counterexample(d, checked)
-    return _no_counterexample(checked)
+    den = denominator
+
+    def tests(disjunction: int, a: int, b: int, both: int) -> tuple[int, ...]:
+        if disjunction != den or not (0 < a < den and 0 < b < den):
+            return ()
+        # P(B|A) < P(B) and P(A|B) < P(A) both read both * den < a * b.
+        # P(B|A) = both / a is zero exactly when P(A and B) is, so the
+        # extreme case needs no test of its own.
+        return (_HOLDS if both * den < a * b else _FAILS,)
+
+    return _search(("A", "B"), den, (Or(_A, _B, 0), _A, _B, And(_A, _B)), tests)
 
 
 def check_explosion_irrelevance(d: RationalDist, b: Formula,
@@ -265,29 +299,32 @@ def check_relevance_ordering(denominator: int) -> SearchResult:
     counted in `equalities`, not as violations."""
     if denominator > 8:
         raise SizeLimitError("relevance ordering supports denominators up to 8")
-    conj, disj = And(_A, _B), Or(_A, _B, 0)
-    checked = 0
-    equalities = 0
-    for d in grid(("A", "B", "H"), denominator):
-        ph = prob(d, _H)
-        if not 0 < ph < 1:
-            continue
-        not_h = Not(_H)
+    den = denominator
+    conj, disj, not_h = And(_A, _B), Or(_A, _B, 0), Not(_H)
+    events = [_H] + [And(e, side) for side in (_H, not_h) for e in (_A, _B, conj, disj)]
+
+    def tests(h: int, a_h: int, b_h: int, ab_h: int, or_h: int,
+              a_nh: int, b_nh: int, ab_nh: int, or_nh: int) -> tuple[int, ...]:
+        nh = den - h
+        if not 0 < h < den:
+            return ()
         # conditional independence given H and given not-H
-        if cond_prob(d, conj, _H) != cond_prob(d, _A, _H) * cond_prob(d, _B, _H):
-            continue
-        if cond_prob(d, conj, not_h) != cond_prob(d, _A, not_h) * cond_prob(d, _B, not_h):
-            continue
-        lr_a, lr_b = llr(d, _A, _H), llr(d, _B, _H)
-        if lr_a.sign() <= 0 or lr_b.sign() <= 0:
-            continue
-        if prob(d, conj) == 0 or not cond_prob(d, _H, conj) < 1:
-            continue
-        checked += 1
-        strongest = lr_b if lr_a < lr_b else lr_a
-        lr_or, lr_and = llr(d, disj, _H), llr(d, conj, _H)
-        if not (lr_or <= strongest and strongest <= lr_and):
-            return _counterexample(d, checked)
-        if lr_or.same_relevance(strongest) or strongest.same_relevance(lr_and):
-            equalities += 1
-    return _no_counterexample(checked, equalities)
+        if ab_h * h != a_h * b_h or ab_nh * nh != a_nh * b_nh:
+            return ()
+        # positive relevance of A and of B: P(e|H) > P(e|not H)
+        if a_h * nh <= a_nh * h or b_h * nh <= b_nh * h:
+            return ()
+        # P(A and B) > 0 and P(H | A and B) < 1: some of A and B lies in not-H
+        if ab_nh == 0:
+            return ()
+        # The likelihood pair of e is (e_h / h, e_nh / nh). Comparing two
+        # pairs by cross-multiplication, the positive h * nh cancels, so the
+        # pair of counts (e_h, e_nh) compares the same way.
+        s_h, s_nh = (b_h, b_nh) if a_h * b_nh < b_h * a_nh else (a_h, a_nh)
+        or_left, or_right = or_h * s_nh, s_h * or_nh  # llr(A or B) vs strongest
+        and_left, and_right = s_h * ab_nh, ab_h * s_nh  # strongest vs llr(A and B)
+        if or_left > or_right or and_left > and_right:
+            return (_FAILS,)
+        return (_BOUNDARY if or_left == or_right or and_left == and_right else _HOLDS,)
+
+    return _search(("A", "B", "H"), den, events, tests)

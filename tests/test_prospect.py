@@ -10,13 +10,11 @@ from coordsem import (
     Atom,
     AtomNode,
     Category,
-    Not,
     OptionSet,
     Or,
     Prospect,
     UnsupportedConnectiveError,
     WorkbenchError,
-    Xor,
     corpus_lookup,
     denote_one,
     denote_options,
@@ -57,6 +55,22 @@ def test_denotation_rejects_negation_and_xor():
             denote_options(parse(text))
         with pytest.raises(UnsupportedConnectiveError):
             judge(parse(text))
+
+
+@pytest.mark.parametrize("entry", [
+    denote_options,
+    judge,
+    lambda f: option_equivalent(f, parse("A")),
+    lambda f: option_equivalent(parse("A"), f),
+], ids=["denote_options", "judge", "option_equivalent_left", "option_equivalent_right"])
+def test_shared_coefficient_id_is_rejected(entry):
+    D = AtomNode(Atom("D"))
+    # one id on both or-nodes would tie their choices: {A + C, B + D}
+    tied = And(Or(A, B, 0), Or(C, D, 0))
+    with pytest.raises(WorkbenchError, match="coefficient id 0"):
+        entry(tied)
+    # unique ids out of textual order stay legal
+    assert len(denote_options(And(Or(A, B, 1), Or(C, D, 0)))) == 4
 
 
 OPTION_SETS = {

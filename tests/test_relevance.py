@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -34,7 +35,15 @@ from coordsem import (
 )
 from coordsem.boolean import assignments
 from coordsem.formula import atom_names
-from coordsem.relevance import LikelihoodPair, grid_size
+from coordsem.relevance import (
+    FREGE_PREMISE_VARIANTS,
+    LikelihoodPair,
+    _compositions,
+    _counterexample,
+    _dist,
+    _no_counterexample,
+    grid_size,
+)
 
 F = Fraction
 
@@ -278,3 +287,110 @@ def test_equirelevant_disjuncts_with_disjoint_support():
 @given(st.integers(min_value=1, max_value=8))
 def test_grid_sizes_formula(den):
     assert sum(1 for _ in grid(["A"], den)) == grid_size(1, den)
+
+
+# ---------------------------------------------------------------------------
+# Reference searches: the per-point Fraction loops over `grid()` that the
+# integer-count searches replaced, kept as oracles.
+
+_A, _B, _C, _H = (AtomNode(Atom(n)) for n in "ABCH")
+
+
+def reference_frege(denominator, premise_variants=("beta", "delta")):
+    implication = Not(And(_A, Not(_C)))
+    checked = 0
+    for d in grid(("A", "C"), denominator):
+        if prob(d, implication) != 1:  # alpha
+            continue
+        pa, pc = prob(d, _A), prob(d, _C)
+        for variant in premise_variants:
+            if variant == "beta" and not (0 < pa < 1 and 0 < pc < 1):
+                continue
+            if variant == "delta" and not (pa != 0 and pc != 1):
+                continue
+            if variant == "none" and pa == 0:
+                continue
+            checked += 1
+            if not cond_prob(d, _C, _A) > pc:
+                return _counterexample(d, checked)
+    return _no_counterexample(checked)
+
+
+def reference_corollary(denominator):
+    disjunction = Or(_A, _B, 0)
+    both = And(_A, _B)
+    checked = 0
+    for d in grid(("A", "B"), denominator):
+        pa, pb = prob(d, _A), prob(d, _B)
+        if prob(d, disjunction) != 1 or not (0 < pa < 1 and 0 < pb < 1):
+            continue
+        checked += 1
+        pb_given_a = cond_prob(d, _B, _A)
+        pa_given_b = cond_prob(d, _A, _B)
+        if not (pb_given_a < pb and pa_given_b < pa):
+            return _counterexample(d, checked)
+        if prob(d, both) == 0 and pb_given_a != 0:
+            return _counterexample(d, checked)
+    return _no_counterexample(checked)
+
+
+def reference_ordering(denominator):
+    conj, disj = And(_A, _B), Or(_A, _B, 0)
+    checked = 0
+    equalities = 0
+    for d in grid(("A", "B", "H"), denominator):
+        ph = prob(d, _H)
+        if not 0 < ph < 1:
+            continue
+        not_h = Not(_H)
+        # conditional independence given H and given not-H
+        if cond_prob(d, conj, _H) != cond_prob(d, _A, _H) * cond_prob(d, _B, _H):
+            continue
+        if cond_prob(d, conj, not_h) != cond_prob(d, _A, not_h) * cond_prob(d, _B, not_h):
+            continue
+        lr_a, lr_b = llr(d, _A, _H), llr(d, _B, _H)
+        if lr_a.sign() <= 0 or lr_b.sign() <= 0:
+            continue
+        if prob(d, conj) == 0 or not cond_prob(d, _H, conj) < 1:
+            continue
+        checked += 1
+        strongest = lr_b if lr_a < lr_b else lr_a
+        lr_or, lr_and = llr(d, disj, _H), llr(d, conj, _H)
+        if not (lr_or <= strongest and strongest <= lr_and):
+            return _counterexample(d, checked)
+        if lr_or.same_relevance(strongest) or strongest.same_relevance(lr_and):
+            equalities += 1
+    return _no_counterexample(checked, equalities)
+
+
+_VARIANT_ORDERS = [order for k in range(1, len(FREGE_PREMISE_VARIANTS) + 1)
+                   for order in permutations(FREGE_PREMISE_VARIANTS, k)]
+
+
+@pytest.mark.parametrize("variants", _VARIANT_ORDERS, ids="-".join)
+def test_frege_matches_the_reference_search(variants):
+    for den in range(1, 13):
+        assert check_frege_theorem(den, variants).serialize() == \
+            reference_frege(den, variants).serialize()
+
+
+def test_corollary_matches_the_reference_search():
+    for den in range(1, 13):
+        assert check_disjunction_corollary(den).serialize() == \
+            reference_corollary(den).serialize()
+
+
+@pytest.mark.parametrize("den", range(1, 9))
+def test_ordering_matches_the_reference_search(den):
+    assert check_relevance_ordering(den).serialize() == reference_ordering(den).serialize()
+
+
+def test_witness_is_the_grid_point():
+    for atoms in (("A",), ("A", "B"), ("A", "B", "H")):
+        for den in (1, 3):
+            points = list(_compositions(den, 2 ** len(atoms)))
+            dists = list(grid(atoms, den))
+            assert len(points) == len(dists) == grid_size(len(atoms), den)
+            for counts, d in zip(points, dists):
+                assert _dist(atoms, counts, den) == d
+                assert d.masses == tuple(F(k, den) for k in counts)
