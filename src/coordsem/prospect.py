@@ -4,10 +4,15 @@ A sentence denotes a nonnegative-integer vector over its atoms (a
 "prospect"): an atom is a unit vector, `and` is vector addition, and each
 `or` node picks its left or right branch according to a {0,1} coefficient
 attached to that node. Ranging over all coefficient assignments yields the
-sentence's option set. Diagnostics on the option set reproduce acceptability
-judgments: an option giving a stative atom a coefficient >= 2 is a double
-image ("A and A"); an `or` whose branches denote identically offers no real
-alternative (Hobson's choice, "A or A").
+sentence's option set. Because every `or` node has its own coefficient, the
+option set is built from the parts in one pass over the tree: an atom has one
+option, `and` takes every pairwise sum of its children's options and `or` the
+union of its branches'. Options are ordered by the index, in the canonical
+enumeration of coefficient assignments (all-ones first), of the first
+assignment that yields them. Diagnostics on the option set reproduce
+acceptability judgments: an option giving a stative atom a coefficient >= 2
+is a double image ("A and A"); an `or` whose branches denote identically
+offers no real alternative (Hobson's choice, "A or A").
 
 Negation and xor have no vector denotation here and raise
 UnsupportedConnectiveError.
@@ -18,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
 from .errors import SizeLimitError, UnsupportedConnectiveError, WorkbenchError
@@ -33,9 +39,32 @@ from .formula import (
     or_nodes,
 )
 
-COEFF_LIMIT = 16  # at most 2^16 coefficient assignments enumerated
+COEFF_LIMIT = 16  # at most 16 or-nodes, so 2^16 coefficient assignments
 
 CoefficientAssignment = Mapping[int, int]  # coeff_id -> 0 or 1
+Parts = tuple[tuple[str, int], ...]  # a prospect's sorted (name, coeff) pairs
+
+
+def _merge(a: Parts, b: Parts) -> Parts:
+    """Vector sum of two sorted parts tuples. A pair present on one side
+    only is reused, not rebuilt."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        name_a, name_b = a[i][0], b[j][0]
+        if name_a < name_b:
+            out.append(a[i])
+            i += 1
+        elif name_b < name_a:
+            out.append(b[j])
+            j += 1
+        else:
+            out.append((name_a, a[i][1] + b[j][1]))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -64,10 +93,7 @@ class Prospect:
         return dict(self.parts).get(name, 0)
 
     def add(self, other: "Prospect") -> "Prospect":
-        out = self.as_dict()
-        for name, coeff in other.parts:
-            out[name] = out.get(name, 0) + coeff
-        return Prospect.from_dict(out)
+        return Prospect(_merge(self.parts, other.parts))
 
     def __str__(self) -> str:
         return " + ".join(name for name, coeff in self.parts for _ in range(coeff))
@@ -81,7 +107,8 @@ class OptionSet:
     """The prospects of a formula, one per coefficient assignment, with
     duplicates collapsed. Equality and hashing are set-level; iteration
     follows first appearance in the canonical coefficient enumeration
-    (all-ones first)."""
+    (all-ones first): each prospect's key is the index of the first
+    assignment that yields it, and the prospects come in key order."""
 
     prospects: tuple[Prospect, ...]
 
@@ -145,26 +172,66 @@ def denote_one(f: Formula, c: CoefficientAssignment) -> Prospect:
     return go(f)
 
 
-def coefficient_assignments(f: Formula) -> Iterator[dict[int, int]]:
-    """All 2^k choices over f's Or nodes, all-ones first. Each Or node needs
-    its own coeff_id: a shared one would tie the nodes' choices together."""
+def _coeff_ids(f: Formula) -> list[int]:
+    """f's or-node ids, sorted. Each Or node needs its own coeff_id: a shared
+    one would tie the nodes' choices together."""
     ids = [node.coeff_id for _, node in or_nodes(f)]
     for prev, cur in zip(ids, ids[1:]):  # or_nodes sorts by coeff_id
         if prev == cur:
             raise WorkbenchError(f"coefficient id {cur} is shared by more than one or-node")
     if len(ids) > COEFF_LIMIT:
         raise SizeLimitError(f"{len(ids)} or-nodes exceed the enumeration limit")
+    return ids
+
+
+def coefficient_assignments(f: Formula) -> Iterator[dict[int, int]]:
+    """All 2^k choices over f's Or nodes, all-ones first: the first id in
+    sorted order varies slowest."""
+    ids = _coeff_ids(f)
     for bits in product([1, 0], repeat=len(ids)):
         yield dict(zip(ids, bits))
 
 
 def denote_options(f: Formula) -> OptionSet:
-    """The set of prospects over all coefficient assignments."""
+    """The set of prospects over all coefficient assignments, built from the
+    parts of f without enumerating the assignments.
+
+    Assignment i of `coefficient_assignments` sets the or-node of rank r
+    among the sorted ids to 0 exactly when bit k-1-r of i is set. A prospect
+    is keyed by the smallest i that yields it: an atom's option has key 0, a
+    sum's key is the sum of its summands' keys (their or-nodes are disjoint),
+    and a right branch's keys grow by its or-node's bit. Where a prospect
+    arises twice it keeps the smaller key; sorting by key gives the order of
+    first appearance."""
     _check_denotable(f)
-    seen: dict[Prospect, None] = {}
-    for c in coefficient_assignments(f):
-        seen.setdefault(denote_one(f, c))
-    return OptionSet(tuple(seen))
+    ids = _coeff_ids(f)
+    bit = {cid: 1 << (len(ids) - 1 - rank) for rank, cid in enumerate(ids)}
+
+    def go(node: Formula) -> dict[Parts, int]:
+        if isinstance(node, AtomNode):
+            return {((node.atom.name, 1),): 0}
+        left, right = go(node.left), go(node.right)
+        if isinstance(node, And):
+            out: dict[Parts, int] = {}
+            for x, kx in left.items():
+                for y, ky in right.items():
+                    _keep_first(out, _merge(x, y), kx + ky)
+            return out
+        assert isinstance(node, Or)
+        w = bit[node.coeff_id]
+        for y, ky in right.items():
+            _keep_first(left, y, ky + w)
+        return left
+
+    keyed = sorted(go(f).items(), key=itemgetter(1))
+    return OptionSet(tuple(Prospect(parts) for parts, _ in keyed))
+
+
+def _keep_first(options: dict[Parts, int], parts: Parts, key: int) -> None:
+    """Record `key` for `parts` unless an earlier assignment yields it too."""
+    old = options.get(parts)
+    if old is None or key < old:
+        options[parts] = key
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coordsem import (
     And,
@@ -13,6 +15,7 @@ from coordsem import (
     OptionSet,
     Or,
     Prospect,
+    SizeLimitError,
     UnsupportedConnectiveError,
     WorkbenchError,
     corpus_lookup,
@@ -22,6 +25,7 @@ from coordsem import (
     option_equivalent,
     parse,
 )
+from coordsem import prospect
 from coordsem.formula import renumber_coefficients
 
 A, B, C = (AtomNode(Atom(n)) for n in "ABC")
@@ -71,6 +75,35 @@ def test_shared_coefficient_id_is_rejected(entry):
         entry(tied)
     # unique ids out of textual order stay legal
     assert len(denote_options(And(Or(A, B, 1), Or(C, D, 0)))) == 4
+
+
+def test_option_order_follows_sorted_ids_not_text():
+    D = AtomNode(Atom("D"))
+    # id 0 sits on the second or-node, so its choice varies slowest
+    f = And(Or(A, B, 1), Or(C, D, 0))
+    assert [str(p) for p in denote_options(f)] == ["A + C", "B + C", "A + D", "B + D"]
+    assert denote_options(f).prospects == reference_options(f)
+
+
+def _chain(k: int) -> str:
+    return " or ".join(chr(ord("A") + i) for i in range(k + 1))
+
+
+def test_size_limit_and_error_order():
+    limit = prospect.COEFF_LIMIT
+    assert len(denote_options(parse(_chain(limit)))) == limit + 1
+    over = parse(_chain(limit + 1))
+    with pytest.raises(SizeLimitError, match=f"^{limit + 1} or-nodes exceed the enumeration limit$"):
+        denote_options(over)
+    with pytest.raises(SizeLimitError):
+        next(prospect.coefficient_assignments(over))
+    # an unsupported connective is reported before a shared id, a shared id
+    # before the size limit
+    shared = Or(over, Or(A, B, 0), 1)
+    with pytest.raises(WorkbenchError, match="coefficient id 0 is shared"):
+        denote_options(shared)
+    with pytest.raises(UnsupportedConnectiveError):
+        denote_options(And(shared, parse("not A")))
 
 
 OPTION_SETS = {
@@ -192,6 +225,77 @@ def test_option_set_equality_is_order_insensitive():
     p1, p2 = Prospect((("A", 1),)), Prospect((("B", 1),))
     assert OptionSet((p1, p2)) == OptionSet((p2, p1))
     assert OptionSet((p1,)) != OptionSet((p1, p2))
+
+
+# ---------------------------------------------------------------------------
+# The enumerator as oracle: denote_one under every coefficient assignment,
+# all-ones first, duplicates dropped at their first appearance.
+
+def reference_options(f) -> tuple[Prospect, ...]:
+    seen: dict[Prospect, None] = {}
+    for c in prospect.coefficient_assignments(f):
+        seen.setdefault(denote_one(f, c))
+    return tuple(seen)
+
+
+def _reference_judge(f):
+    with mock.patch.object(prospect, "denote_options",
+                           lambda g: OptionSet(reference_options(g))):
+        return judge(f)
+
+
+def _set_ids(f, ids):
+    """f with its or-nodes renumbered, one id each from `ids`."""
+    it = iter(ids)
+
+    def go(node):
+        if isinstance(node, AtomNode):
+            return node
+        if isinstance(node, And):
+            return And(go(node.left), go(node.right))
+        return Or(go(node.left), go(node.right), next(it))
+
+    return go(f)
+
+
+@st.composite
+def _shuffled_ids(draw):
+    """A denotable formula whose unique or-node ids are in no fixed order."""
+    leaf = st.builds(lambda n, iterable: AtomNode(Atom(n, "iterable" if iterable else "stative")),
+                     st.sampled_from("ABCD"), st.booleans())
+    f = draw(st.recursive(
+        leaf,
+        lambda kids: st.one_of(st.builds(And, kids, kids),
+                               st.builds(lambda l, r: Or(l, r, 0), kids, kids)),
+        max_leaves=14,
+    ))
+    k = sum(1 for _ in _paths(f))
+    return _set_ids(f, draw(st.lists(st.integers(0, 40), min_size=k, max_size=k, unique=True)))
+
+
+@settings(max_examples=400)
+@given(_shuffled_ids())
+# B first arises on the right branch of the outer or-node, with a smaller
+# key than on its left branch: keeping the first key seen puts C before B
+@example(Or(Or(A, B, 0), Or(B, C, 2), 1))
+def test_options_match_the_enumerator(f):
+    assert denote_options(f).prospects == reference_options(f)
+    assert judge(f) == _reference_judge(f)
+
+
+@pytest.mark.parametrize("text", [
+    _chain(12),
+    " and ".join(f"({x} or {y})" for x, y in zip("AABCDBAECD", "BCCDEEDAAB")),
+], ids=["chain12", "conj10"])
+def test_long_formulas_match_the_enumerator(text):
+    f = parse(text)
+    assert denote_options(f).prospects == reference_options(f)
+
+
+def test_add_merges_sorted_parts():
+    p, q = Prospect.from_dict({"A": 1, "C": 2}), Prospect.from_dict({"B": 1, "C": 1, "D": 3})
+    assert p.add(q).parts == (("A", 1), ("B", 1), ("C", 3), ("D", 3))
+    assert q.add(p) == p.add(q)
 
 
 # ---------------------------------------------------------------------------
