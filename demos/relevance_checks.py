@@ -59,8 +59,9 @@ print("   positively relevant short of certainty, relevance is ordered:")
 print("   llr(A or B) <= max(llr A, llr B) <= llr(A and B).")
 for den in (4, 6, 8):
     r = check_relevance_ordering(den)
+    equalities = r.serialize()["equalities"]
     print(f"   denominator {den}: {r.status.value} "
-          f"({r.checked} filtered distributions, {r.equalities} boundary equalities)")
+          f"({r.checked} filtered distributions, {equalities} boundary equalities)")
 print("   (the quarter grid has no distribution satisfying the filter,")
 print("    so the denominator-4 line is vacuous; 6 and 8 are not)")
 

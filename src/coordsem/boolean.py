@@ -165,12 +165,26 @@ def dual(schema: LawSchema) -> LawSchema:
                      schema.connective_map)
 
 
+def _odd_worlds(n: int) -> int:
+    """The worlds over n names with an odd number of true atoms, as a mask in
+    the world order. World i makes name j true iff bit n-1-j of i is clear,
+    so it has n - i.bit_count() true atoms. Read off the world indices alone,
+    with neither the atom masks nor `truth_mask`."""
+    # Bit i of the mask is world i, so the binary numeral lists the worlds
+    # from the last to the first.
+    return int("".join(["1" if (n - i.bit_count()) & 1 else "0"
+                        for i in reversed(range(1 << n))]), 2)
+
+
 def xor_parity(n: int) -> bool:
     """True iff the right-associated n-fold xor chain over distinct atoms is
-    true exactly on the assignments with an odd number of true atoms."""
+    true exactly on the assignments with an odd number of true atoms.
+
+    The chain's side is its `truth_mask`. The reference side, `_odd_worlds`,
+    counts each world's true atoms from the clear bits of its index, so it
+    shares no step with the kernel, which XORs the atom masks."""
     if not 1 <= n <= ATOM_LIMIT:
         raise AtomLimitError(f"n must be in 1..{ATOM_LIMIT}, got {n}")
     names = [f"P{i}" for i in range(1, n + 1)]
     chain = parse(" xor ".join(names))  # xor associates to the right
-    odd = sum(1 << i for i, v in enumerate(assignments(names)) if sum(v.values()) % 2)
-    return truth_mask(chain, names) == odd
+    return truth_mask(chain, names) == _odd_worlds(n)

@@ -3,8 +3,9 @@
 Subcommands: laws, denote, judge, equiv, implicatures, prob, reproduce.
 Every subcommand builds one JSON-serializable payload; --format picks the
 rendering (text tables or JSON of that same payload), --out additionally
-dumps the payload as JSON to a file. Exit codes: 0 success, 1 claim
-mismatch from `reproduce`, 2 usage or parse errors.
+dumps the payload as JSON to a file, before anything is printed. Exit codes:
+0 success, 1 claim mismatch from `reproduce`, 2 usage or parse errors or an
+--out file that cannot be written.
 """
 
 from __future__ import annotations
@@ -219,8 +220,6 @@ def _render_prob(data: dict) -> str:
         lines.append("  witness:")
         for key, mass in result["witness"]:
             lines.append(f"    P({key}) = {mass}")
-    if result.get("equalities"):
-        lines.append(f"  boundary equalities: {result['equalities']}")
     return "\n".join(lines) + "\n"
 
 
@@ -313,15 +312,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except WorkbenchError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    if args.out:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as err:
+            print(f"error: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
+            return 2
     if args.format == "json":
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         out = _RENDERERS[payload["command"]](payload)
     sys.stdout.write(out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
     if payload["command"] == "reproduce" and payload["summary"]["mismatches"]:
         return 1
     return 0

@@ -7,8 +7,9 @@ exact, and likelihood-ratio comparisons are decided by cross-multiplication
 rather than floating logarithms.
 
 The grid searches run on integer cell counts over the grid's common
-denominator: an event's mass is a sum of counts over its cells, and every
-premise and conclusion is an integer comparison by cross-multiplication.
+denominator: an event's mass is a sum of counts over its cells, taken only
+when a premise or conclusion reads it, and every premise and conclusion is
+an integer comparison by cross-multiplication.
 They build a distribution of Fraction masses only for a witness.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .boolean import assignments, truth_mask
 from .errors import SizeLimitError, ZeroProbabilityError
@@ -86,12 +87,23 @@ def cond_prob(d: RationalDist, f: Formula, g: Formula) -> Fraction:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """Every tuple of `parts` counts that sum to `total`, in descending
+    lexicographic order. The successor of a tuple moves one unit from its
+    rightmost nonzero count short of the last one to the next place, and
+    gathers the last count there too; the places between are zero."""
+    counts = [total] + [0] * (parts - 1)
+    last = parts - 1
+    while True:
+        yield tuple(counts)
+        j = last - 1
+        while j >= 0 and not counts[j]:
+            j -= 1
+        if j < 0:
+            return
+        tail = counts[last]
+        counts[last] = 0
+        counts[j] -= 1
+        counts[j + 1] = tail + 1
 
 
 def _grid_atoms(atoms: Sequence[str], denominator: int) -> tuple[str, ...]:
@@ -132,7 +144,6 @@ class SearchResult:
     status: SearchStatus
     witness: Optional[RationalDist]
     checked: int
-    equalities: int = 0  # boundary cases where a weak inequality held with equality
 
     @property
     def found(self) -> bool:
@@ -143,43 +154,62 @@ class SearchResult:
             "status": self.status.value,
             "witness": self.witness.serialize() if self.witness else None,
             "checked": self.checked,
-            "equalities": self.equalities,
+            # Boundary cases where a weak inequality held with equality. Every
+            # conclusion the searches test is strict, and the ordering's weak
+            # inequalities are strict under its premises (see
+            # check_relevance_ordering), so there are none.
+            "equalities": 0,
         }
 
 
-def _no_counterexample(checked: int, equalities: int = 0) -> SearchResult:
-    return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked, equalities)
+def _no_counterexample(checked: int) -> SearchResult:
+    return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked)
 
 
 def _counterexample(d: RationalDist, checked: int) -> SearchResult:
     return SearchResult(SearchStatus.COUNTEREXAMPLE, d, checked)
 
 
-# Outcomes of one premise-satisfying test at a grid point.
-_HOLDS, _BOUNDARY, _FAILS = range(3)
-
-
-def _search(atoms: Sequence[str], denominator: int, events: Sequence[Formula],
-            tests: Callable[..., Sequence[int]]) -> SearchResult:
+def _search(atoms: Sequence[str], denominator: int, events: Mapping[str, Formula],
+            tests: Callable[[Callable[[str], int]], Sequence[bool]]) -> SearchResult:
     """The integer loop of the grid searches. It walks the cell counts of
-    `grid(atoms, denominator)` in the same order. At each point it passes
-    `tests` the mass of every event times the denominator, an integer sum
-    over the event's cells; `tests` returns one outcome per premise-satisfying
-    test there. The first `_FAILS` ends the search with that point as the
-    witness; `_BOUNDARY` counts a weak inequality that held with equality."""
+    `grid(atoms, denominator)` in the same order. At each point it calls
+    `tests(mass)`, where `mass(name)` is the mass of the named event times
+    the denominator: the sum of the counts of the event's cells. `tests`
+    returns, for each premise-satisfying test at the point, whether its
+    conclusion holds; the first that does not ends the search with the point
+    as the witness.
+
+    A sum is taken only when `mass` is called, so `tests` checks its
+    premises cheapest first and reads an event only at a point that passed
+    every premise before the first one that needs it: alpha, then the
+    marginals, then A and C for Frege; the disjunction, then the marginals,
+    then A and B for the corollary; for the ordering, 0 < P(H) < 1, then
+    independence given H, then given not-H, then relevance, with the
+    disjunction's masses read only for the conclusion."""
     ordered = _grid_atoms(atoms, denominator)
     n_cells = 2 ** len(ordered)
-    cells = [[i for i in range(n_cells) if mask >> i & 1]
-             for mask in (truth_mask(e, ordered) for e in events)]
+    cells = {}
+    for name, event in events.items():
+        mask = truth_mask(event, ordered)
+        cells[name] = [i for i in range(n_cells) if mask >> i & 1]
+    counts: tuple[int, ...] = ()
+
+    def mass(name: str) -> int:
+        # `counts` is the point the loop below is at. A plain loop over one
+        # to four cells costs less than sum(map(...)).
+        total = 0
+        for i in cells[name]:
+            total += counts[i]
+        return total
+
     checked = 0
-    equalities = 0
     for counts in _compositions(denominator, n_cells):
-        for outcome in tests(*[sum(map(counts.__getitem__, c)) for c in cells]):
+        for holds in tests(mass):
             checked += 1
-            if outcome == _FAILS:
+            if not holds:
                 return _counterexample(_dist(ordered, counts, denominator), checked)
-            equalities += outcome == _BOUNDARY
-    return _no_counterexample(checked, equalities)
+    return _no_counterexample(checked)
 
 
 _A, _B, _C, _H = (AtomNode(Atom(n)) for n in "ABCH")
@@ -208,18 +238,22 @@ def check_frege_theorem(
             raise ValueError(f"unknown premise variant {variant!r}")
     den = denominator
 
-    def tests(implication: int, a: int, c: int, ac: int) -> list[int]:
-        if implication != den:  # alpha
+    def tests(mass: Callable[[str], int]) -> list[bool]:
+        if mass("implication") != den:  # alpha
             return []
+        a, c = mass("a"), mass("c")
         premises = {"beta": 0 < a < den and 0 < c < den,
                     "delta": a != 0 and c != den,
                     "none": a != 0}
+        admitted = sum(premises[variant] for variant in premise_variants)
+        if not admitted:
+            return []
         # P(C|A) > P(C), that is ac / a > c / den; every variant needs a > 0
-        outcome = _HOLDS if ac * den > c * a else _FAILS
-        return [outcome for variant in premise_variants if premises[variant]]
+        return [mass("ac") * den > c * a] * admitted
 
     return _search(("A", "C"), den,
-                   (Not(And(_A, Not(_C))), _A, _C, And(_A, _C)), tests)
+                   {"implication": Not(And(_A, Not(_C))), "a": _A, "c": _C,
+                    "ac": And(_A, _C)}, tests)
 
 
 def check_disjunction_corollary(denominator: int) -> SearchResult:
@@ -229,15 +263,19 @@ def check_disjunction_corollary(denominator: int) -> SearchResult:
     negative relevance is extreme: P(B|A) = 0."""
     den = denominator
 
-    def tests(disjunction: int, a: int, b: int, both: int) -> tuple[int, ...]:
-        if disjunction != den or not (0 < a < den and 0 < b < den):
+    def tests(mass: Callable[[str], int]) -> tuple[bool, ...]:
+        if mass("disjunction") != den:
+            return ()
+        a, b = mass("a"), mass("b")
+        if not (0 < a < den and 0 < b < den):
             return ()
         # P(B|A) < P(B) and P(A|B) < P(A) both read both * den < a * b.
         # P(B|A) = both / a is zero exactly when P(A and B) is, so the
         # extreme case needs no test of its own.
-        return (_HOLDS if both * den < a * b else _FAILS,)
+        return (mass("both") * den < a * b,)
 
-    return _search(("A", "B"), den, (Or(_A, _B, 0), _A, _B, And(_A, _B)), tests)
+    return _search(("A", "B"), den, {"disjunction": Or(_A, _B, 0), "a": _A, "b": _B,
+                                     "both": And(_A, _B)}, tests)
 
 
 def check_explosion_irrelevance(d: RationalDist, b: Formula,
@@ -295,21 +333,37 @@ def check_relevance_ordering(denominator: int) -> SearchResult:
 
         llr(A or B) <= max(llr(A), llr(B)) <= llr(A and B).
 
-    Checked as weak inequalities over the 3-atom grid; equality cases are
-    counted in `equalities`, not as violations."""
+    Both inequalities are in fact strict, and the search tests them strictly.
+    Write a, b for P(A|H), P(B|H) and a', b' for P(A|not H), P(B|not H).
+    The premises give a > a' and b > b' by relevance, and a'b' =
+    P(A and B | not H) > 0 because P(H | A and B) < 1, so a', b' > 0. Say
+    A is the stronger disjunct, a/a' >= b/b' (B is symmetric). Then
+    llr(A and B) = (a/a')(b/b') > a/a', since b/b' > 1. And
+    llr(A or B) = (a + b(1-a)) / (a' + b'(1-a')) is the mediant of a/a' and
+    b(1-a) / (b'(1-a')), whose denominators are positive (a' < 1); the second
+    ratio is (b/b')((1-a)/(1-a')) < b/b' <= a/a', because 1-a < 1-a', so the
+    mediant is below a/a'. Hence no grid point meets either inequality with
+    equality, and `equalities` is always 0."""
     if denominator > 8:
         raise SizeLimitError("relevance ordering supports denominators up to 8")
     den = denominator
     conj, disj, not_h = And(_A, _B), Or(_A, _B, 0), Not(_H)
-    events = [_H] + [And(e, side) for side in (_H, not_h) for e in (_A, _B, conj, disj)]
+    events = {"h": _H}
+    for side, suffix in ((_H, "_h"), (not_h, "_nh")):
+        for name, e in (("a", _A), ("b", _B), ("ab", conj), ("or", disj)):
+            events[name + suffix] = And(e, side)
 
-    def tests(h: int, a_h: int, b_h: int, ab_h: int, or_h: int,
-              a_nh: int, b_nh: int, ab_nh: int, or_nh: int) -> tuple[int, ...]:
-        nh = den - h
+    def tests(mass: Callable[[str], int]) -> tuple[bool, ...]:
+        h = mass("h")
         if not 0 < h < den:
             return ()
-        # conditional independence given H and given not-H
-        if ab_h * h != a_h * b_h or ab_nh * nh != a_nh * b_nh:
+        nh = den - h
+        # conditional independence given H, then given not-H
+        a_h, b_h, ab_h = mass("a_h"), mass("b_h"), mass("ab_h")
+        if ab_h * h != a_h * b_h:
+            return ()
+        a_nh, b_nh, ab_nh = mass("a_nh"), mass("b_nh"), mass("ab_nh")
+        if ab_nh * nh != a_nh * b_nh:
             return ()
         # positive relevance of A and of B: P(e|H) > P(e|not H)
         if a_h * nh <= a_nh * h or b_h * nh <= b_nh * h:
@@ -321,10 +375,7 @@ def check_relevance_ordering(denominator: int) -> SearchResult:
         # pairs by cross-multiplication, the positive h * nh cancels, so the
         # pair of counts (e_h, e_nh) compares the same way.
         s_h, s_nh = (b_h, b_nh) if a_h * b_nh < b_h * a_nh else (a_h, a_nh)
-        or_left, or_right = or_h * s_nh, s_h * or_nh  # llr(A or B) vs strongest
-        and_left, and_right = s_h * ab_nh, ab_h * s_nh  # strongest vs llr(A and B)
-        if or_left > or_right or and_left > and_right:
-            return (_FAILS,)
-        return (_BOUNDARY if or_left == or_right or and_left == and_right else _HOLDS,)
+        return (mass("or_h") * s_nh < s_h * mass("or_nh")  # llr(A or B) < strongest
+                and s_h * ab_nh < ab_h * s_nh,)  # strongest < llr(A and B)
 
     return _search(("A", "B", "H"), den, events, tests)

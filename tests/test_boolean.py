@@ -34,7 +34,7 @@ from coordsem import (
     parse,
     xor_parity,
 )
-from coordsem.boolean import ATOM_LIMIT, assignments, entails, truth_mask, world
+from coordsem.boolean import ATOM_LIMIT, _odd_worlds, assignments, entails, truth_mask, world
 from coordsem.formula import atom_names
 
 A = AtomNode(Atom("A"))
@@ -151,6 +151,18 @@ def test_duality_principle():
 @pytest.mark.parametrize("n", range(1, 13))
 def test_xor_parity(n):
     assert xor_parity(n) is True
+
+
+def reference_odd_worlds(n):
+    """The odd-parity worlds over n names, counted on each assignment's
+    values: the reference side `xor_parity` used before `_odd_worlds`."""
+    names = [f"P{i}" for i in range(1, n + 1)]
+    return sum(1 << i for i, v in enumerate(assignments(names)) if sum(v.values()) % 2)
+
+
+@pytest.mark.parametrize("n", range(1, ATOM_LIMIT + 1))
+def test_odd_worlds_matches_the_per_assignment_count(n):
+    assert _odd_worlds(n) == reference_odd_worlds(n)
 
 
 def test_xor_parity_range():

@@ -105,6 +105,17 @@ def test_reproduce_matches(capsys):
     assert "MISMATCH" not in out
 
 
+@pytest.mark.parametrize("argv", [["reproduce"], ["laws"]], ids=" ".join)
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_unwritable_out_file_exits_2(capsys, tmp_path, argv, target):
+    out_file = tmp_path / "missing" / "x.json" if target == "missing directory" else tmp_path
+    code, out, err = run(capsys, "--out", str(out_file), *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_file}: ")
+    assert err.count("\n") == 1
+
+
 def test_reproduce_has_one_record_per_claim(capsys):
     code, out, _ = run(capsys, "--format", "json", "reproduce")
     data = json.loads(out)

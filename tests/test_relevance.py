@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from coordsem import (
     And,
@@ -37,6 +37,7 @@ from coordsem.boolean import assignments
 from coordsem.formula import atom_names
 from coordsem.relevance import (
     FREGE_PREMISE_VARIANTS,
+    GRID_DENOMINATOR_LIMIT,
     LikelihoodPair,
     _compositions,
     _counterexample,
@@ -335,6 +336,8 @@ def reference_corollary(denominator):
 
 
 def reference_ordering(denominator):
+    """The search result, and the number of checked points where an
+    inequality held with equality."""
     conj, disj = And(_A, _B), Or(_A, _B, 0)
     checked = 0
     equalities = 0
@@ -357,10 +360,10 @@ def reference_ordering(denominator):
         strongest = lr_b if lr_a < lr_b else lr_a
         lr_or, lr_and = llr(d, disj, _H), llr(d, conj, _H)
         if not (lr_or <= strongest and strongest <= lr_and):
-            return _counterexample(d, checked)
+            return _counterexample(d, checked), equalities
         if lr_or.same_relevance(strongest) or strongest.same_relevance(lr_and):
             equalities += 1
-    return _no_counterexample(checked, equalities)
+    return _no_counterexample(checked), equalities
 
 
 _VARIANT_ORDERS = [order for k in range(1, len(FREGE_PREMISE_VARIANTS) + 1)
@@ -382,7 +385,65 @@ def test_corollary_matches_the_reference_search():
 
 @pytest.mark.parametrize("den", range(1, 9))
 def test_ordering_matches_the_reference_search(den):
-    assert check_relevance_ordering(den).serialize() == reference_ordering(den).serialize()
+    result, equalities = reference_ordering(den)
+    assert check_relevance_ordering(den).serialize() == \
+        {**result.serialize(), "equalities": equalities}
+
+
+def reference_compositions(total, parts):
+    """The recursive generator `_compositions` replaced: descending
+    lexicographic order, first count first."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in reference_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("parts", [1, 2, 4, 8])
+def test_compositions_match_the_recursive_generator(parts):
+    for total in range(GRID_DENOMINATOR_LIMIT + 1):
+        assert list(_compositions(total, parts)) == list(reference_compositions(total, parts))
+
+
+@st.composite
+def _probability_above(draw, low):
+    """A fraction with denominator at most 8 in (low, 1], or in (0, 1) when
+    `low` is 0: P(H) and P(e|not H) may be neither 0 nor 1."""
+    den = draw(st.integers(2 if low == 0 else 1, 8))
+    top = den - 1 if low == 0 else den
+    return F(draw(st.integers(int(low * den) + 1, top)), den)
+
+
+@st.composite
+def _relevant_pair(draw):
+    """(P(e|H), P(e|not H)) with P(e|H) > P(e|not H) > 0."""
+    given_not_h = draw(_probability_above(0))
+    return draw(_probability_above(given_not_h)), given_not_h
+
+
+@settings(max_examples=300)
+@given(_probability_above(0), _relevant_pair(), _relevant_pair())
+def test_relevance_ordering_is_strict_under_its_premises(ph, a_pair, b_pair):
+    # A product distribution: A and B independent given H and given not-H,
+    # with the chosen conditional probabilities.
+    (a, a_nh), (b, b_nh) = a_pair, b_pair
+    table = {}
+    for in_a, in_b, in_h in product([True, False], repeat=3):
+        pa, pb, p = (a, b, ph) if in_h else (a_nh, b_nh, 1 - ph)
+        table[(in_a, in_b, in_h)] = p * (pa if in_a else 1 - pa) * (pb if in_b else 1 - pb)
+    d = RationalDist.from_cells(["A", "B", "H"], table)
+    conj, disj, not_h = And(_A, _B), Or(_A, _B, 0), Not(_H)
+    # every premise of check_relevance_ordering holds
+    assert cond_prob(d, conj, _H) == cond_prob(d, _A, _H) * cond_prob(d, _B, _H)
+    assert cond_prob(d, conj, not_h) == cond_prob(d, _A, not_h) * cond_prob(d, _B, not_h)
+    lr_a, lr_b = llr(d, _A, _H), llr(d, _B, _H)
+    assert lr_a.sign() == lr_b.sign() == 1
+    assert prob(d, conj) > 0 and cond_prob(d, _H, conj) < 1
+    # and both inequalities of its conclusion are strict
+    strongest = lr_b if lr_a < lr_b else lr_a
+    assert llr(d, disj, _H) < strongest < llr(d, conj, _H)
 
 
 def test_witness_is_the_grid_point():
