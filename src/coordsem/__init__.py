@@ -79,6 +79,7 @@ from .relevance import (
     check_frege_theorem,
     check_relevance_ordering,
     cond_prob,
+    explosion_on_grid,
     grid,
     llr,
     prob,
@@ -100,7 +101,7 @@ __all__ = [
     "check_explosion_irrelevance", "check_frege_theorem", "check_law",
     "check_relevance_ordering", "compare", "cond_prob", "consistent",
     "corpus_lookup", "denote_one", "denote_options", "dual", "equivalent",
-    "eval_formula", "grid", "instantiate", "judge", "length_metric", "llr",
-    "option_equivalent", "parse", "potential_clausal", "potential_scalar",
-    "prob", "project", "unparse", "xor_parity",
+    "eval_formula", "explosion_on_grid", "grid", "instantiate", "judge",
+    "length_metric", "llr", "option_equivalent", "parse", "potential_clausal",
+    "potential_scalar", "prob", "project", "unparse", "xor_parity",
 ]

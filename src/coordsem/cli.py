@@ -31,10 +31,9 @@ from .formula import (
 from .prospect import denote_options, judge
 from .relevance import (
     check_disjunction_corollary,
-    check_explosion_irrelevance,
     check_frege_theorem,
     check_relevance_ordering,
-    grid,
+    explosion_on_grid,
 )
 
 
@@ -202,12 +201,7 @@ def _cmd_prob(args: argparse.Namespace) -> dict:
     elif args.check == "ordering":
         payload = check_relevance_ordering(den).serialize()
     else:  # explosion
-        events = [parse(t) for t in ("B", "not B", "A", "A and B", "A or B")]
-        count = 0
-        holds = True
-        for d in grid(("A", "B"), den):
-            count += 1
-            holds = holds and all(check_explosion_irrelevance(d, b) for b in events)
+        holds, count = explosion_on_grid(den)
         payload = {"status": "holds" if holds else "violated", "checked": count}
     return {"command": "prob", "check": args.check, "denominator": den, "result": payload}
 

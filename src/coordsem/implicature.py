@@ -9,7 +9,8 @@ the speaker knows they do not both hold). Projection feeds potential
 constraints into the accepted set one at a time, assertions first, and
 suppresses any candidate that would make the set unsatisfiable by a belief
 model (a nonempty set of worlds: K phi holds iff phi is true at every
-world, notK phi iff phi fails somewhere).
+world, notK phi iff phi fails somewhere). `consistent` finds the least
+belief model greedily, so the only atom limit is `boolean.ATOM_LIMIT`.
 
 Strong exclusivity is a defeasible default in `gazdar` mode; in `soames`
 mode it is emitted only for or-nodes the caller declares the speaker
@@ -22,11 +23,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .boolean import truth_mask, world
-from .errors import AtomLimitError, WorkbenchError
+from .boolean import ATOM_LIMIT, truth_mask, world
+from .errors import WorkbenchError
 from .formula import And, Formula, Not, Or, atom_names, subformulas, unparse
 
-EPISTEMIC_ATOM_LIMIT = 4
+EPISTEMIC_ATOM_LIMIT = ATOM_LIMIT  # read by benchmarks/; ROADMAP item 1 drops it
 
 
 class Polarity(Enum):
@@ -56,9 +57,6 @@ class EpistemicConstraint:
     provenance: Provenance
     source: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_atom_limit(atom_names(self.body))
-
     def __str__(self) -> str:
         return f"{self.polarity.value}({unparse(self.body)})"
 
@@ -74,16 +72,9 @@ class EpistemicConstraint:
 BeliefModel = tuple[dict[str, bool], ...]  # nonempty, worlds in boolean's world order
 
 
-def _check_atom_limit(names: Sequence[str]) -> None:
-    if len(names) > EPISTEMIC_ATOM_LIMIT:
-        raise AtomLimitError(
-            f"{len(names)} atoms exceed the epistemic limit {EPISTEMIC_ATOM_LIMIT}")
-
-
 def assertions(f: Formula) -> list[EpistemicConstraint]:
     """K of the asserted content. For a top-level And the conjuncts are
     asserted too; they are emitted first, the whole sentence last."""
-    _check_atom_limit(atom_names(f))
     out = []
     if isinstance(f, And):
         out.append(EpistemicConstraint(Polarity.K, f.left, Provenance.ASSERTION, (0,)))
@@ -106,7 +97,6 @@ def potential_clausal(f: Formula) -> list[EpistemicConstraint]:
     notK(psi) and notK(not psi). Duplicates collapse within a node (an
     or-node with identical disjuncts contributes one pair); distinct nodes
     keep distinct entries."""
-    _check_atom_limit(atom_names(f))
     out = []
     for path, node in _ordered_or_paths(f):
         for disjunct in (node.left, node.right):
@@ -126,7 +116,6 @@ def potential_scalar(
     form notK(psi and chi) is always emitted; the strong form
     K(not (psi and chi)) by default in gazdar mode, and in soames mode only
     for or-nodes (by coeff_id) listed as opinionated."""
-    _check_atom_limit(atom_names(f))
     out = []
     for path, node in _ordered_or_paths(f):
         both = And(node.left, node.right)
@@ -143,33 +132,39 @@ def consistent(
 ) -> tuple[bool, Optional[BeliefModel]]:
     """Satisfiability by a belief model, with the least witness.
 
-    Candidate models are the nonempty sets of worlds over the union of the
-    constraints' atoms that satisfy every K-body, as bitsets in the world
-    order of `coordsem.boolean`, enumerated by increasing value; the first
-    model meeting every notK constraint is returned."""
+    A model is a nonempty set of K-worlds (where every K-body holds), as a
+    bitset in the world order of `coordsem.boolean`, that meets every need:
+    the K-worlds where one notK body fails. The least model is the one the
+    greedy descent finds, dropping each K-world, highest first, while the
+    rest is still a model. With all lower worlds present, the descent keeps
+    world i iff i is the lowest world of a need that no kept higher world
+    meets, so the model is built need by need, by lowest world descending,
+    or is the lowest K-world if there are no needs. No smaller model T
+    exists: at the highest world i where T and the result differ, the
+    result keeps i for some need; T agrees with the result above i, lacks
+    i, and the need has no world below i, so T misses that need."""
     constraints = list(constraints)
     names = sorted({a for c in constraints for a in atom_names(c.body)})
-    _check_atom_limit(names)
-    universe = (1 << 2 ** len(names)) - 1
-    k_mask = universe
-    for c in constraints:
-        if c.polarity is Polarity.K:
-            k_mask &= truth_mask(c.body, names)
+    # truth_mask refuses more than ATOM_LIMIT names before the universe is formed.
+    k_masks = [truth_mask(c.body, names) for c in constraints if c.polarity is Polarity.K]
     notk_masks = [truth_mask(c.body, names) for c in constraints
                   if c.polarity is Polarity.NOT_K]
+    k_mask = (1 << 2 ** len(names)) - 1
+    for m in k_masks:
+        k_mask &= m
 
     # Satisfiable iff some K-world exists and every notK-body fails at some
-    # K-world; the subset scan below then only runs when a witness exists.
-    if k_mask == 0 or any(k_mask & ~m == 0 for m in notk_masks):
+    # K-world; then every K-world together is a valid model.
+    needs = [k_mask & ~m for m in notk_masks]
+    if k_mask == 0 or not all(needs):
         return False, None
-    for candidate in range(1, universe + 1):
-        if candidate & ~k_mask:
-            continue
-        if all(candidate & ~m for m in notk_masks):
-            model = tuple(world(names, i) for i in range(candidate.bit_length())
-                          if candidate >> i & 1)
-            return True, model
-    raise AssertionError("unreachable: satisfiable set with no witness found")
+    model = 0
+    for need in sorted(needs, key=lambda need: need & -need, reverse=True):
+        if not model & need:
+            model |= need & -need
+    model = model or k_mask & -k_mask
+    return True, tuple(world(names, i) for i in range(model.bit_length())
+                       if model >> i & 1)
 
 
 @dataclass(frozen=True)

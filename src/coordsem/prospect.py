@@ -89,9 +89,6 @@ class Prospect:
     def as_dict(self) -> dict[str, int]:
         return dict(self.parts)
 
-    def coefficient(self, name: str) -> int:
-        return dict(self.parts).get(name, 0)
-
     def add(self, other: "Prospect") -> "Prospect":
         return Prospect(_merge(self.parts, other.parts))
 

@@ -145,10 +145,6 @@ class SearchResult:
     witness: Optional[RationalDist]
     checked: int
 
-    @property
-    def found(self) -> bool:
-        return self.status is SearchStatus.COUNTEREXAMPLE
-
     def serialize(self) -> dict[str, object]:
         return {
             "status": self.status.value,
@@ -285,6 +281,21 @@ def check_explosion_irrelevance(d: RationalDist, b: Formula,
     contradiction = And(AtomNode(Atom(contradiction_atom)),
                         Not(AtomNode(Atom(contradiction_atom))))
     return prob(d, And(contradiction, b)) == prob(d, contradiction) * prob(d, b)
+
+
+_EXPLOSION_EVENTS = (_B, Not(_B), _A, And(_A, _B), Or(_A, _B, 0))
+
+
+def explosion_on_grid(denominator: int) -> tuple[bool, int]:
+    """Explosion irrelevance for each of B, not B, A, A and B, A or B at
+    every point of the grid over {A, B}: whether it holds throughout, and
+    the number of grid points. Points after a violation are counted but not
+    checked."""
+    holds, points = True, 0
+    for d in grid(("A", "B"), denominator):
+        points += 1
+        holds = holds and all(check_explosion_irrelevance(d, b) for b in _EXPLOSION_EVENTS)
+    return holds, points
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,9 @@ from .prospect import (
 )
 from .relevance import (
     check_disjunction_corollary,
-    check_explosion_irrelevance,
     check_frege_theorem,
     check_relevance_ordering,
-    grid,
+    explosion_on_grid,
 )
 
 LAWS_BY_NAME = {law.name: law for law in STANDARD_LAWS}
@@ -307,9 +306,7 @@ def probability_records() -> list[ReportRecord]:
         result = check_disjunction_corollary(den)
         records.append(ReportRecord(f"probability.corollary.den{den}", f"denominator={den}",
                                     "no_counterexample", result.status.value))
-    events = [parse(t) for t in ("B", "not B", "A", "A and B", "A or B")]
-    holds = all(check_explosion_irrelevance(d, b)
-                for d in grid(("A", "B"), 4) for b in events)
+    holds, _ = explosion_on_grid(4)
     records.append(ReportRecord("probability.explosion.den4",
                                 "all denominator-4 distributions over {A,B}",
                                 True, holds))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coordsem import assertions, consistent, parse, potential_clausal, potential_scalar, report
+from coordsem.boolean import ATOM_LIMIT
 from coordsem.cli import main
 from coordsem.formula import _CORPUS_TEXT, MAX_DEPTH
 
@@ -122,6 +123,14 @@ def test_reproduce_has_one_record_per_claim(capsys):
     claims = [r["claim"] for r in data["records"]]
     assert len(claims) == len(set(claims))
     assert data["summary"]["claims"] == len(claims)
+
+
+@pytest.mark.parametrize("atoms, status", [(5, 0), (ATOM_LIMIT + 1, 2)])
+def test_implicatures_atom_limit_exits_2(capsys, atoms, status):
+    code, out, err = run(capsys, "implicatures", " or ".join(f"P{i}" for i in range(atoms)))
+    assert code == status
+    assert ("accepted:" in out) == (status == 0)
+    assert (f"{atoms} atoms exceed" in err) == (status == 2)
 
 
 def test_parse_error_exits_2(capsys):

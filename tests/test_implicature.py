@@ -28,6 +28,7 @@ from coordsem import (
     eval_formula,
     unparse,
 )
+from coordsem.boolean import ATOM_LIMIT
 from coordsem.formula import atom_names, renumber_coefficients
 from coordsem.implicature import EpistemicConstraint
 
@@ -51,9 +52,20 @@ def test_assertions_top_level_conjunction():
         ["K(A)", "K(A or B)", "K(A and (A or B))"]
 
 
-def test_assertions_atom_limit():
+def test_project_atom_limit():
+    # Generating constraints enumerates nothing; the truth tables of the
+    # consistency check refuse more than ATOM_LIMIT atoms.
+    f = parse(" and ".join(f"P{i}" for i in range(ATOM_LIMIT + 1)))
+    assert len(assertions(f)) == 3
     with pytest.raises(AtomLimitError):
-        assertions(parse("A and B and C and D and E"))
+        project(f)
+
+
+def test_project_five_atom_conjunction():
+    report = project(parse("A and B and C and D and E"))
+    assert _texts(report.accepted) == \
+        ["K(A)", "K(B and C and D and E)", "K(A and B and C and D and E)"]
+    assert report.suppressed == ()
 
 
 def test_clausal_plain_disjunction():
@@ -131,12 +143,12 @@ def test_consistent_empty_set_trivially_satisfiable():
 
 def test_consistent_atom_limit():
     with pytest.raises(AtomLimitError):
-        consistent([_c(Polarity.K, "A"), _c(Polarity.K, "B"), _c(Polarity.K, "C"),
-                    _c(Polarity.K, "D"), _c(Polarity.K, "E")])
+        consistent([_c(Polarity.K, f"P{i}") for i in range(ATOM_LIMIT + 1)])
 
 
-def reference_consistent(constraints):
-    """Belief-model search with one eval_formula call per world and body."""
+def _worlds_and_masks(constraints):
+    """The worlds over the constraints' atoms, the mask of the K-worlds and
+    the mask of each notK body, with one eval_formula call per world and body."""
     names = sorted({a for c in constraints for a in atom_names(c.body)})
     worlds = [dict(zip(names, bits)) for bits in product([True, False], repeat=len(names))]
 
@@ -148,27 +160,73 @@ def reference_consistent(constraints):
         if c.polarity is Polarity.K:
             k_mask &= mask_of(c.body)
     notk_masks = [mask_of(c.body) for c in constraints if c.polarity is Polarity.NOT_K]
+    return worlds, k_mask, notk_masks
+
+
+def _model(worlds, candidate):
+    return tuple(w for i, w in enumerate(worlds) if candidate >> i & 1)
+
+
+def reference_consistent(constraints):
+    """Belief-model search over every candidate set of worlds up to the
+    K-worlds, by increasing value."""
+    worlds, k_mask, notk_masks = _worlds_and_masks(constraints)
     for candidate in range(1, k_mask + 1):
         if candidate & ~k_mask == 0 and all(candidate & ~m for m in notk_masks):
-            return True, tuple(w for i, w in enumerate(worlds) if candidate >> i & 1)
+            return True, _model(worlds, candidate)
     return False, None
 
 
-_body = st.recursive(
-    st.builds(lambda n: AtomNode(Atom(n)), st.sampled_from("ABCD")),
-    lambda kids: st.one_of(st.builds(And, kids, kids),
-                           st.builds(lambda l, r: Or(l, r, 0), kids, kids),
-                           st.builds(Not, kids)),
-    max_leaves=4,
-)
-_constraint = st.builds(
-    lambda polarity, body: EpistemicConstraint(polarity, body, Provenance.ASSERTION, ()),
-    st.sampled_from(list(Polarity)), _body)
+def reference_submask_consistent(constraints):
+    """Belief-model search over the nonempty subsets of the K-worlds alone,
+    by increasing value: `(s - k) & k` is the next submask of k after s."""
+    worlds, k, notk_masks = _worlds_and_masks(constraints)
+    s = (0 - k) & k
+    while s:
+        if all(s & ~m for m in notk_masks):
+            return True, _model(worlds, s)
+        s = (s - k) & k
+    return False, None
 
 
-@given(st.lists(_constraint, max_size=6))
+def _constraints(names, max_leaves):
+    """Constraints of either polarity over bodies built from `names`."""
+    bodies = st.recursive(
+        st.builds(lambda n: AtomNode(Atom(n)), st.sampled_from(names)),
+        lambda kids: st.one_of(st.builds(And, kids, kids),
+                               st.builds(lambda l, r: Or(l, r, 0), kids, kids),
+                               st.builds(Not, kids)),
+        max_leaves=max_leaves,
+    )
+    return st.builds(
+        lambda polarity, body: EpistemicConstraint(polarity, body, Provenance.ASSERTION, ()),
+        st.sampled_from(list(Polarity)), bodies)
+
+
+@given(st.lists(_constraints("ABCD", 4), max_size=6))
 def test_consistent_matches_the_per_world_search(constraints):
     assert consistent(constraints) == reference_consistent(constraints)
+
+
+@st.composite
+def _wide_constraints(draw):
+    """Constraints over five or six atoms whose K-bodies leave at most 16
+    worlds: all but four atoms are pinned by a K-known literal, and every
+    atom occurs, in a K-known tautology at least."""
+    names = "ABCDEF"[:draw(st.integers(5, 6))]
+    atoms = {a: AtomNode(Atom(a)) for a in names}
+    pinned = draw(st.permutations(names))[:len(names) - 4]
+    known = [atoms[a] if draw(st.booleans()) else Not(atoms[a]) for a in pinned]
+    known += [Or(atoms[a], Not(atoms[a]), 0) for a in names]
+    constraints = ([EpistemicConstraint(Polarity.K, body, Provenance.ASSERTION, ())
+                    for body in known]
+                   + draw(st.lists(_constraints(names, 6), max_size=6)))
+    return draw(st.permutations(constraints))
+
+
+@given(_wide_constraints())
+def test_consistent_matches_the_submask_search_on_wider_constraints(constraints):
+    assert consistent(constraints) == reference_submask_consistent(constraints)
 
 
 def _suppressed_texts(report):

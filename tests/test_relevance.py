@@ -28,6 +28,7 @@ from coordsem import (
     check_relevance_ordering,
     cond_prob,
     eval_formula,
+    explosion_on_grid,
     grid,
     llr,
     parse,
@@ -208,6 +209,7 @@ def test_explosion_irrelevance_on_grid():
     for d in grid(["A", "B"], 4):
         for b in events:
             assert check_explosion_irrelevance(d, b)
+    assert explosion_on_grid(4) == (True, grid_size(2, 4))
 
 
 def test_explosion_irrelevance_degenerate_point_mass():
