@@ -2,18 +2,18 @@
 counterexample extraction, law checking under connective substitution, and
 the meet/join duality transform, over one truth-table kernel.
 
-World order, shared by every module that searches truth assignments:
-`assignments(names)` enumerates lexicographically over the names with True
-before False, so assignment 0 is the all-true world. `truth_mask` encodes
-the same order as bits, bit i standing for assignment i (`world(names, i)`).
-The first witness in this order (the lowest set bit) is the one reported.
+World order, shared by every module that searches truth assignments and
+defined only by the atom masks `_ATOM_MASKS`: lexicographic over the names
+with True before False, so world 0 is the all-true world. `truth_mask` sets
+bit i for world i, `world(names, i)`, and `assignments(names)` yields the
+worlds in order. The first witness in this order (the lowest set bit) is
+the one reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import AtomLimitError, MissingAtomError, UnsupportedConnectiveError
@@ -27,9 +27,6 @@ from .formula import (
     LawSchema,
     Not,
     Or,
-    TOp,
-    TVar,
-    Template,
     atom_names,
     instantiate,
     parse,
@@ -64,12 +61,13 @@ def eval_formula(f: Formula, v: Assignment) -> bool:
 
 
 def assignments(names: Sequence[str]) -> Iterator[dict[str, bool]]:
-    """All assignments over names, all-true first, True before False."""
+    """All assignments over names in the world order: `world(names, i)` for
+    i = 0, 1, ..., all-true first."""
     if len(names) > ATOM_LIMIT:
         raise AtomLimitError(
             f"{len(names)} atoms exceed the exhaustive-evaluation limit {ATOM_LIMIT}")
-    for bits in product([True, False], repeat=len(names)):
-        yield dict(zip(names, bits))
+    for i in range(1 << len(names)):
+        yield world(names, i)
 
 
 def truth_mask(f: Formula, names: Sequence[str]) -> int:
@@ -150,19 +148,14 @@ def check_law(schema: LawSchema) -> LawVerdict:
 
 
 def dual(schema: LawSchema) -> LawSchema:
-    """Swap meet and join in both templates. Undefined when the schema maps
-    a connective to xor."""
+    """Swap meet and join, that is `and` and `or`, in both templates.
+    Undefined when the schema maps a connective to xor."""
     targets = {dst for _, dst in schema.connective_map}
     if "xor" in targets:
         raise UnsupportedConnectiveError("duality is undefined for xor substitutions")
-
-    def swap(t: Template) -> Template:
-        if isinstance(t, TVar):
-            return t
-        return TOp(JOIN if t.op == MEET else MEET, swap(t.left), swap(t.right))
-
-    return LawSchema(f"dual({schema.name})", swap(schema.lhs), swap(schema.rhs),
-                     schema.connective_map)
+    swapped = LawSchema(schema.name, schema.lhs, schema.rhs, ((MEET, "or"), (JOIN, "and")))
+    lhs, rhs = instantiate(swapped, {name: AtomNode(Atom(name)) for name in schema.metavariables})
+    return LawSchema(f"dual({schema.name})", lhs, rhs, schema.connective_map)
 
 
 def _odd_worlds(n: int) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import combinations
 from typing import Optional, Sequence
 
 from . import implicature as imp
@@ -73,8 +74,7 @@ def _render_laws(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _item_payload(item: str) -> dict:
-    f = _resolve(item)
+def _item_payload(item: str, f: Formula) -> dict:
     options = denote_options(f)
     return {
         "input": item,
@@ -86,7 +86,7 @@ def _item_payload(item: str) -> dict:
 
 
 def _cmd_denote(args: argparse.Namespace) -> dict:
-    return {"command": "denote", "items": [_item_payload(i) for i in args.items]}
+    return {"command": "denote", "items": [_item_payload(i, _resolve(i)) for i in args.items]}
 
 
 def _format_options(serialized: list) -> str:
@@ -104,13 +104,12 @@ def _render_denote(data: dict) -> str:
 
 
 def _cmd_judge(args: argparse.Namespace) -> dict:
-    items = [_item_payload(i) for i in args.items]
-    pairs = []
-    for i in range(len(args.items)):
-        for j in range(i + 1, len(args.items)):
-            cmp = report.compare(_resolve(args.items[i]), _resolve(args.items[j]))
-            pairs.append({"left": args.items[i], "right": args.items[j],
-                          **cmp.serialize()})
+    formulas, items = [], []
+    for item in args.items:  # each payload before the next parse, as in `denote`
+        formulas.append(_resolve(item))
+        items.append(_item_payload(item, formulas[-1]))
+    pairs = [{"left": a, "right": b, **report.compare(f, g).serialize()}
+             for (a, f), (b, g) in combinations(zip(args.items, formulas), 2)]
     return {"command": "judge", "items": items, "pairs": pairs}
 
 

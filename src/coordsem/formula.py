@@ -1,5 +1,6 @@
 """Object language: aspect-annotated atoms, binary connectives, parsing and
-printing, the corpus of schematic coordination examples, and law templates.
+printing, the corpus of schematic coordination examples, and law schemas,
+whose templates are formulas of the same language.
 
 Grammar (lowercase keywords, right-associative binary connectives):
 
@@ -137,6 +138,35 @@ def or_nodes(f: Formula) -> list[tuple[tuple[int, ...], Or]]:
     return nodes
 
 
+_SAME = {And: And, Or: Or, Xor: Xor}
+
+
+def _rebuild(f: Formula, leaf: Callable[[AtomNode], Formula],
+             connective: Mapping[type, type]) -> Formula:
+    """Rebuild f bottom-up: atom nodes through `leaf`, binary nodes as
+    `connective[type(node)]`, negation as is. The Or nodes built here are
+    numbered 0,1,... in textual (in-order) order; those `leaf` returns keep
+    their ids."""
+    counter = 0
+
+    def go(node: Formula) -> Formula:
+        nonlocal counter
+        kind = type(node)
+        if kind is AtomNode:
+            return leaf(node)
+        if kind is Not:
+            return Not(go(node.child))
+        left = go(node.left)
+        make = connective[kind]
+        if make is Or:
+            cid = counter
+            counter += 1
+            return Or(left, go(node.right), cid)
+        return make(left, go(node.right))
+
+    return go(f)
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -192,7 +222,6 @@ class _Tokenizer:
 class _Parser:
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
-        self.next_coeff = 0
         self.depth = 0
         # name -> (aspect or None if only defaulted, position of first annotation)
         self.aspects: dict[str, tuple[str | None, int]] = {}
@@ -202,7 +231,11 @@ class _Parser:
         kind, value, pos = self.toks.peek()
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", pos)
-        return self._apply_aspects(f)
+        # Fixes each atom's aspect (placeholders are stative) and numbers the
+        # Or nodes in textual order.
+        iterable = {name: AtomNode(Atom(name, ITERABLE))
+                    for name, (aspect, _) in self.aspects.items() if aspect == ITERABLE}
+        return _rebuild(f, lambda node: iterable.get(node.atom.name, node), _SAME)
 
     def _nested(self, parse_part: Callable[[], Formula]) -> Formula:
         if self.depth == MAX_DEPTH:
@@ -218,9 +251,7 @@ class _Parser:
         kind, _, _ = self.toks.peek()
         if kind == "or":
             self.toks.take()
-            cid = self.next_coeff
-            self.next_coeff += 1
-            return Or(left, self._nested(self._expr), cid)
+            return Or(left, self._nested(self._expr), -1)  # numbered by parse()
         if kind == "xor":
             self.toks.take()
             return Xor(left, self._nested(self._expr))
@@ -269,20 +300,6 @@ class _Parser:
             elif prev_aspect != aspect:
                 raise ParseError(
                     f"conflicting aspect for atom {name!r}: {prev_aspect} vs {aspect}", pos)
-
-    def _apply_aspects(self, f: Formula) -> Formula:
-        table = {name: (a or STATIVE) for name, (a, _) in self.aspects.items()}
-        def go(node: Formula) -> Formula:
-            if isinstance(node, AtomNode):
-                return AtomNode(Atom(node.atom.name, table[node.atom.name]))
-            if isinstance(node, Not):
-                return Not(go(node.child))
-            if isinstance(node, And):
-                return And(go(node.left), go(node.right))
-            if isinstance(node, Or):
-                return Or(go(node.left), go(node.right), node.coeff_id)
-            return Xor(go(node.left), go(node.right))
-        return go(f)
 
 
 def parse(text: str) -> Formula:
@@ -378,134 +395,83 @@ def corpus_lookup(label: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Law schemas: formula templates over metavariables with meet/join connectives
+# Law schemas: templates are formulas over metavariable atoms, in which `and`
+# stands for meet and `or` for join
 
 MEET = "meet"
 JOIN = "join"
 
-
-@dataclass(frozen=True)
-class TVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class TOp:
-    op: str  # MEET or JOIN
-    left: "Template"
-    right: "Template"
-
-
-Template = Union[TVar, TOp]
-
-
-def template_vars(t: Template) -> set[str]:
-    if isinstance(t, TVar):
-        return {t.name}
-    return template_vars(t.left) | template_vars(t.right)
-
-
-def template_ops(t: Template) -> set[str]:
-    if isinstance(t, TVar):
-        return set()
-    return {t.op} | template_ops(t.left) | template_ops(t.right)
+_ROLE = {And: MEET, Or: JOIN}
+_CONNECTIVE = {"and": And, "or": Or, "xor": Xor}
 
 
 @dataclass(frozen=True)
 class LawSchema:
-    """A candidate identity: two templates plus a map from template
-    connectives to concrete ones. Name is informational only."""
+    """A candidate identity: two templates plus a map from meet and join to
+    concrete connectives. A template is a formula whose atoms are the
+    metavariables (their aspects are ignored), with `and` for meet, `or` for
+    join, and no `not` or `xor`. Name is informational only."""
 
     name: str = field(compare=False)
-    lhs: Template
-    rhs: Template
+    lhs: Formula
+    rhs: Formula
     connective_map: tuple[tuple[str, str], ...] = ((MEET, "and"), (JOIN, "or"))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "connective_map", tuple(sorted(set(self.connective_map))))
-        mapped = {src for src, _ in self.connective_map}
-        if len(mapped) != len(self.connective_map):
+        table = dict(self.connective_map)
+        if len(table) != len(self.connective_map):
             raise ValueError(f"{self.name}: conflicting connective_map entries")
-        used = template_ops(self.lhs) | template_ops(self.rhs)
-        if not used <= mapped:
-            raise ValueError(f"{self.name}: connective_map not total on {used - mapped}")
+        kinds = {type(node) for t in (self.lhs, self.rhs) for _, node in subformulas(t)}
+        if kinds & {Not, Xor}:
+            raise ValueError(f"{self.name}: a template may use only 'and' and 'or'")
+        used = {_ROLE[kind] for kind in kinds if kind in _ROLE}
+        if not used <= table.keys():
+            raise ValueError(f"{self.name}: connective_map not total on {used - table.keys()}")
+        for src, dst in self.connective_map:
+            if src not in (MEET, JOIN) or dst not in _CONNECTIVE:
+                raise ValueError(f"{self.name}: bad connective_map entry {(src, dst)!r}")
 
     @property
     def metavariables(self) -> set[str]:
-        return template_vars(self.lhs) | template_vars(self.rhs)
+        return set(atoms(self.lhs)) | set(atoms(self.rhs))
 
     def with_connectives(self, **ops: str) -> "LawSchema":
         """Same templates, different concrete connectives, e.g. join='xor'."""
-        table = dict(self.connective_map)
-        for src, dst in ops.items():
-            if src not in (MEET, JOIN):
-                raise ValueError(f"unknown template connective {src!r}")
-            if dst not in ("and", "or", "xor"):
-                raise ValueError(f"unknown concrete connective {dst!r}")
-            table[src] = dst
+        table = {**dict(self.connective_map), **ops}
         return LawSchema(self.name, self.lhs, self.rhs, tuple(table.items()))
 
 
 def instantiate(schema: LawSchema, binding: Mapping[str, Formula]) -> tuple[Formula, Formula]:
     """Substitute formulas for metavariables and concrete connectives for
     meet/join; Or coefficients are renumbered 0,1,... left-to-right across
-    each resulting formula."""
+    each resulting formula, inside the substituted formulas too."""
     table = dict(schema.connective_map)
+    connective = {kind: _CONNECTIVE[table[role]] for kind, role in _ROLE.items()
+                  if role in table}
 
-    def build(t: Template) -> Formula:
-        if isinstance(t, TVar):
-            try:
-                return binding[t.name]
-            except KeyError:
-                raise UnboundMetavariableError(
-                    f"{schema.name}: no binding for metavariable {t.name!r}") from None
-        concrete = table[t.op]
-        left, right = build(t.left), build(t.right)
-        if concrete == "and":
-            return And(left, right)
-        if concrete == "or":
-            return Or(left, right, -1)  # renumbered below
-        return Xor(left, right)
+    def bind(node: AtomNode) -> Formula:
+        try:
+            return binding[node.atom.name]
+        except KeyError:
+            raise UnboundMetavariableError(
+                f"{schema.name}: no binding for metavariable {node.atom.name!r}") from None
 
-    return renumber_coefficients(build(schema.lhs)), renumber_coefficients(build(schema.rhs))
+    lhs, rhs = (_rebuild(t, bind, connective) for t in (schema.lhs, schema.rhs))
+    return renumber_coefficients(lhs), renumber_coefficients(rhs)
 
 
 def renumber_coefficients(f: Formula) -> Formula:
     """Fresh coefficient ids 0,1,... assigned to Or nodes in textual order
     (in-order traversal, which follows the `or` keyword positions)."""
-    counter = 0
-
-    def go(node: Formula) -> Formula:
-        nonlocal counter
-        if isinstance(node, AtomNode):
-            return node
-        if isinstance(node, Not):
-            return Not(go(node.child))
-        if isinstance(node, And):
-            return And(go(node.left), go(node.right))
-        if isinstance(node, Xor):
-            return Xor(go(node.left), go(node.right))
-        left = go(node.left)
-        cid = counter
-        counter += 1
-        return Or(left, go(node.right), cid)
-
-    return go(f)
+    return _rebuild(f, lambda node: node, _SAME)
 
 
-def _t(op: str, left: Template, right: Template) -> TOp:
-    return TOp(op, left, right)
-
-
-_X, _Y, _Z = TVar("X"), TVar("Y"), TVar("Z")
-
-DIS1 = LawSchema("Dis.1", _t(MEET, _X, _t(JOIN, _Y, _Z)),
-                 _t(JOIN, _t(MEET, _X, _Y), _t(MEET, _X, _Z)))
-DIS2 = LawSchema("Dis.2", _t(JOIN, _X, _t(MEET, _Y, _Z)),
-                 _t(MEET, _t(JOIN, _X, _Y), _t(JOIN, _X, _Z)))
-ABS1 = LawSchema("Abs.1", _t(JOIN, _X, _t(MEET, _X, _Y)), _X)
-ABS2 = LawSchema("Abs.2", _t(MEET, _X, _t(JOIN, _X, _Y)), _X)
-IDE1 = LawSchema("Ide.1", _t(JOIN, _X, _X), _X)
-IDE2 = LawSchema("Ide.2", _t(MEET, _X, _X), _X)
+DIS1 = LawSchema("Dis.1", parse("X and (Y or Z)"), parse("(X and Y) or (X and Z)"))
+DIS2 = LawSchema("Dis.2", parse("X or (Y and Z)"), parse("(X or Y) and (X or Z)"))
+ABS1 = LawSchema("Abs.1", parse("X or (X and Y)"), parse("X"))
+ABS2 = LawSchema("Abs.2", parse("X and (X or Y)"), parse("X"))
+IDE1 = LawSchema("Ide.1", parse("X or X"), parse("X"))
+IDE2 = LawSchema("Ide.2", parse("X and X"), parse("X"))
 
 STANDARD_LAWS = (DIS1, DIS2, ABS1, ABS2, IDE1, IDE2)

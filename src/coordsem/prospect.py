@@ -283,9 +283,8 @@ def judge(f: Formula) -> Judgment:
     """Acceptability judgment from the option set. A double image (stative
     atom at coefficient >= 2 in some option) outranks Hobson's choice, which
     outranks plain acceptability."""
-    _check_denotable(f)
-    aspect = {name: atom.aspect for name, atom in atoms(f).items()}
     options = denote_options(f)
+    aspect = {name: atom.aspect for name, atom in atoms(f).items()}
 
     doubles = []
     for p in options.sorted():

@@ -32,6 +32,7 @@ from coordsem import (
     eval_formula,
     instantiate,
     parse,
+    unparse,
     xor_parity,
 )
 from coordsem.boolean import ATOM_LIMIT, _odd_worlds, assignments, entails, truth_mask, world
@@ -127,6 +128,67 @@ def test_check_law_xor_substitution(law):
 def test_xor_dis2_witness_value():
     verdict = check_law(DIS2.with_connectives(join="xor"))
     assert verdict.counterexample == {"X": True, "Y": True, "Z": False}
+
+
+# Each standard law under three connective maps, with frozen results: the
+# identity instance of both sides, the verdict with its counterexample and
+# binding, and the dual's identity instance (None where the map reaches xor
+# and duality is undefined).
+LAW_TABLE = [
+    ("Dis.1", {}, ("X and (Y or Z)", "X and Y or X and Z"), "valid", None,
+     ("X or Y and Z", "(X or Y) and (X or Z)")),
+    ("Dis.1", {"join": "xor"}, ("X and (Y xor Z)", "X and Y xor X and Z"), "valid", None, None),
+    ("Dis.1", {"meet": "or"}, ("X or Y or Z", "(X or Y) or X or Z"), "valid", None,
+     ("X or Y or Z", "(X or Y) or X or Z")),
+    ("Dis.2", {}, ("X or Y and Z", "(X or Y) and (X or Z)"), "valid", None,
+     ("X and (Y or Z)", "X and Y or X and Z")),
+    ("Dis.2", {"join": "xor"}, ("X xor Y and Z", "(X xor Y) and (X xor Z)"), "invalid",
+     {"X": True, "Y": True, "Z": False}, None),
+    ("Dis.2", {"meet": "or"}, ("X or Y or Z", "(X or Y) or X or Z"), "valid", None,
+     ("X or Y or Z", "(X or Y) or X or Z")),
+    ("Abs.1", {}, ("X or X and Y", "X"), "valid", None, ("X and (X or Y)", "X")),
+    ("Abs.1", {"join": "xor"}, ("X xor X and Y", "X"), "invalid",
+     {"X": True, "Y": True}, None),
+    ("Abs.1", {"meet": "or"}, ("X or X or Y", "X"), "invalid",
+     {"X": False, "Y": True}, ("X or X or Y", "X")),
+    ("Abs.2", {}, ("X and (X or Y)", "X"), "valid", None, ("X or X and Y", "X")),
+    ("Abs.2", {"join": "xor"}, ("X and (X xor Y)", "X"), "invalid",
+     {"X": True, "Y": True}, None),
+    ("Abs.2", {"meet": "or"}, ("X or X or Y", "X"), "invalid",
+     {"X": False, "Y": True}, ("X or X or Y", "X")),
+    ("Ide.1", {}, ("X or X", "X"), "valid", None, ("X and X", "X")),
+    ("Ide.1", {"join": "xor"}, ("X xor X", "X"), "invalid", {"X": True}, None),
+    ("Ide.1", {"meet": "or"}, ("X or X", "X"), "valid", None, ("X or X", "X")),
+    ("Ide.2", {}, ("X and X", "X"), "valid", None, ("X or X", "X")),
+    ("Ide.2", {"join": "xor"}, ("X and X", "X"), "valid", None, None),
+    ("Ide.2", {"meet": "or"}, ("X or X", "X"), "valid", None, ("X or X", "X")),
+]
+
+LAWS_BY_NAME = {law.name: law for law in STANDARD_LAWS}
+
+
+def _identity_instance(schema):
+    binding = {name: AtomNode(Atom(name)) for name in schema.metavariables}
+    return tuple(unparse(side) for side in instantiate(schema, binding))
+
+
+@pytest.mark.parametrize("name, ops, sides, status, counterexample, dual_sides", LAW_TABLE,
+                         ids=[f"{row[0]}-{'-'.join(map('='.join, row[1].items())) or 'classical'}"
+                              for row in LAW_TABLE])
+def test_law_table(name, ops, sides, status, counterexample, dual_sides):
+    schema = LAWS_BY_NAME[name].with_connectives(**ops)
+    assert _identity_instance(schema) == sides
+    verdict = check_law(schema)
+    assert verdict.status.value == status
+    assert verdict.counterexample == counterexample
+    assert verdict.binding == (None if counterexample is None
+                               else {v: v for v in counterexample})
+    if dual_sides is None:
+        with pytest.raises(UnsupportedConnectiveError):
+            dual(schema)
+    else:
+        assert dual(schema).name == f"dual({name})"
+        assert _identity_instance(dual(schema)) == dual_sides
 
 
 def test_dual_pairs():
@@ -228,10 +290,24 @@ def test_entails_matches_the_truth_table(f, g):
     assert entails(f, g) is expected
 
 
+def product_assignments(names):
+    """The world order spelled out: lexicographic, True before False."""
+    for bits in product([True, False], repeat=len(names)):
+        yield dict(zip(names, bits))
+
+
 def test_world_is_the_ith_assignment():
     for n in range(ATOM_LIMIT + 1):
         names = [f"P{i}" for i in range(n)]
-        assert [world(names, i) for i in range(2 ** n)] == list(assignments(names))
+        expected = list(product_assignments(names))
+        assert [world(names, i) for i in range(2 ** n)] == expected
+        assert list(assignments(names)) == expected
+
+
+def test_assignments_refuse_too_many_atoms_on_first_iteration():
+    worlds = assignments([f"P{i}" for i in range(ATOM_LIMIT + 1)])
+    with pytest.raises(AtomLimitError):
+        next(worlds)
 
 
 def test_truth_mask_error_paths():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,12 +17,14 @@ from coordsem import (
     And,
     Atom,
     AtomNode,
+    LawSchema,
     Not,
     Or,
     ParseError,
     UnboundMetavariableError,
     UnknownLabelError,
     Xor,
+    check_law,
     corpus_lookup,
     equivalent,
     instantiate,
@@ -28,7 +32,7 @@ from coordsem import (
     parse,
     unparse,
 )
-from coordsem.formula import CORPUS_LABELS, renumber_coefficients
+from coordsem.formula import CORPUS_LABELS, JOIN, MEET, renumber_coefficients
 
 A, B, C = (AtomNode(Atom(n)) for n in "ABC")
 
@@ -190,6 +194,39 @@ def test_instantiate_renumbers_coefficients():
 def test_instantiate_unbound_metavariable():
     with pytest.raises(UnboundMetavariableError):
         instantiate(DIS2, {"X": A, "Y": B})
+
+
+def test_law_schema_templates_are_formulas():
+    assert DIS1.lhs == parse("X and (Y or Z)")
+    assert DIS1.metavariables == {"X", "Y", "Z"}
+    assert IDE2.metavariables == {"X"}
+    commutativity = LawSchema("Comm.1", parse("X and Y"), parse("Y and X"))
+    assert check_law(commutativity).valid
+    assert not check_law(LawSchema("Abs.0", parse("X and Y"), parse("X"))).valid
+
+
+_CLASSICAL = ((MEET, "and"), (JOIN, "or"))
+
+
+@pytest.mark.parametrize("lhs, rhs, connective_map, reason", [
+    ("X and not Y", "X", _CLASSICAL, "only 'and' and 'or'"),
+    ("X", "not X", _CLASSICAL, "only 'and' and 'or'"),
+    ("X xor Y", "Y xor X", _CLASSICAL, "only 'and' and 'or'"),
+    ("X or Y", "Y or X", ((MEET, "and"),), "not total on {'join'}"),
+    ("X and Y", "Y and X", ((MEET, "and"), (MEET, "or")), "conflicting"),
+    ("X and Y", "Y and X", ((MEET, "nand"),), "bad connective_map entry"),
+    ("X and Y", "Y and X", ((MEET, "and"), ("top", "or")), "bad connective_map entry"),
+])
+def test_law_schema_rejects(lhs, rhs, connective_map, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        LawSchema("Bad", parse(lhs), parse(rhs), connective_map)
+
+
+def test_with_connectives_rejects_unknown_connectives():
+    with pytest.raises(ValueError, match="bad connective_map entry"):
+        DIS1.with_connectives(join="nand")
+    with pytest.raises(ValueError, match="bad connective_map entry"):
+        DIS1.with_connectives(top="or")
 
 
 def test_law_schema_equality_ignores_name():
