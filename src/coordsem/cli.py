@@ -18,8 +18,8 @@ from typing import Optional, Sequence
 
 from . import implicature as imp
 from . import report
-from .boolean import check_law
-from .errors import WorkbenchError
+from .boolean import check_law, equivalent
+from .errors import UnsupportedConnectiveError, WorkbenchError
 from .formula import (
     CORPUS_LABELS,
     STANDARD_LAWS,
@@ -68,10 +68,13 @@ def _render_laws(data: dict) -> str:
         if row["counterexample"] is None:
             lines.append(f"  {row['name']:<6} {row['status']}")
         else:
-            cx = " ".join(f"{k}={'1' if v else '0'}"
-                          for k, v in row["counterexample"].items())
-            lines.append(f"  {row['name']:<6} {row['status']}  counterexample: {cx}")
+            lines.append(f"  {row['name']:<6} {row['status']}  "
+                         f"counterexample: {_format_assignment(row['counterexample'])}")
     return "\n".join(lines) + "\n"
+
+
+def _format_assignment(assignment: dict) -> str:
+    return " ".join(f"{k}={'1' if v else '0'}" for k, v in assignment.items())
 
 
 def _item_payload(item: str, f: Formula) -> dict:
@@ -140,22 +143,33 @@ def _yn(b: bool) -> str:
 
 
 def _cmd_equiv(args: argparse.Namespace) -> dict:
-    cmp = report.compare(_resolve(args.left), _resolve(args.right))
-    return {"command": "equiv", "left": args.left, "right": args.right,
-            **cmp.serialize()}
+    f, g = _resolve(args.left), _resolve(args.right)
+    try:
+        cmp = report.compare(f, g).serialize()
+    except UnsupportedConnectiveError as err:
+        # not and xor have a truth table but no option set: the vector half is undefined
+        verdict = equivalent(f, g)
+        cmp = {"boolean_equivalent": verdict.valid, "boolean_witness": verdict.counterexample,
+               "option_equivalent": None, "option_witness": None, "judgments": None,
+               "judged_equivalent": None, "vector_error": str(err)}
+    return {"command": "equiv", "left": args.left, "right": args.right, **cmp}
 
 
 def _render_equiv(data: dict) -> str:
     lines = [f"{data['left']} vs {data['right']}:",
              f"  boolean-equivalent: {_yn(data['boolean_equivalent'])}"]
     if data["boolean_witness"] is not None:
-        cx = " ".join(f"{k}={'1' if v else '0'}" for k, v in data["boolean_witness"].items())
-        lines.append(f"    counterexample: {cx}")
-    lines.append(f"  option-equivalent:  {_yn(data['option_equivalent'])}")
-    if data["option_witness"] is not None:
-        lines.append(f"    differing option: {_format_options([data['option_witness']])}")
-    lines.append(f"  judgments:          {data['judgments'][0]}, {data['judgments'][1]}")
-    lines.append(f"  judged equivalent:  {_yn(data['judged_equivalent'])}")
+        lines.append(f"    counterexample: {_format_assignment(data['boolean_witness'])}")
+    if "vector_error" in data:
+        lines += [f"  option-equivalent:  undefined ({data['vector_error']})",
+                  "  judgments:          undefined",
+                  "  judged equivalent:  undefined"]
+    else:
+        lines.append(f"  option-equivalent:  {_yn(data['option_equivalent'])}")
+        if data["option_witness"] is not None:
+            lines.append(f"    differing option: {_format_options([data['option_witness']])}")
+        lines.append(f"  judgments:          {data['judgments'][0]}, {data['judgments'][1]}")
+        lines.append(f"  judged equivalent:  {_yn(data['judged_equivalent'])}")
     return "\n".join(lines) + "\n"
 
 

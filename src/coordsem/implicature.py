@@ -84,12 +84,8 @@ def assertions(f: Formula) -> list[EpistemicConstraint]:
 
 
 def _ordered_or_paths(f: Formula) -> list[tuple[tuple[int, ...], Or]]:
-    return sorted(((p, n) for p, n in subformulas(f) if isinstance(n, Or)),
-                  key=lambda pn: pn[0])
-
-
-def _dedup(constraints: Iterable[EpistemicConstraint]) -> list[EpistemicConstraint]:
-    return list(dict.fromkeys(constraints))
+    """f's or-nodes with their paths, in path order: pre-order is path order."""
+    return [(p, n) for p, n in subformulas(f) if isinstance(n, Or)]
 
 
 def potential_clausal(f: Formula) -> list[EpistemicConstraint]:
@@ -104,7 +100,7 @@ def potential_clausal(f: Formula) -> list[EpistemicConstraint]:
                 Polarity.NOT_K, disjunct, Provenance.CLAUSAL, path))
             out.append(EpistemicConstraint(
                 Polarity.NOT_K, Not(disjunct), Provenance.CLAUSAL, path))
-    return _dedup(out)
+    return list(dict.fromkeys(out))
 
 
 def potential_scalar(
@@ -115,7 +111,8 @@ def potential_scalar(
     """Exclusivity constraints per or-node over disjuncts psi, chi. The weak
     form notK(psi and chi) is always emitted; the strong form
     K(not (psi and chi)) by default in gazdar mode, and in soames mode only
-    for or-nodes (by coeff_id) listed as opinionated."""
+    for or-nodes (by coeff_id) listed as opinionated. Each entry has its own
+    node's path, and a node's two entries differ in polarity, so none repeat."""
     out = []
     for path, node in _ordered_or_paths(f):
         both = And(node.left, node.right)
@@ -124,7 +121,7 @@ def potential_scalar(
         if mode is Mode.GAZDAR or node.coeff_id in opinionated:
             out.append(EpistemicConstraint(
                 Polarity.K, Not(both), Provenance.SCALAR_STRONG, path))
-    return _dedup(out)
+    return out
 
 
 def consistent(

@@ -12,7 +12,7 @@ enumeration of coefficient assignments (all-ones first), of the first
 assignment that yields them. Diagnostics on the option set reproduce
 acceptability judgments: an option giving a stative atom a coefficient >= 2
 is a double image ("A and A"); an `or` whose branches denote identically
-offers no real alternative (Hobson's choice, "A or A").
+offers no real alternative (Hobson's choice, "A or A"), found by the same pass.
 
 Negation and xor have no vector denotation here and raise
 UnsupportedConnectiveError.
@@ -190,8 +190,12 @@ def coefficient_assignments(f: Formula) -> Iterator[dict[int, int]]:
 
 
 def denote_options(f: Formula) -> OptionSet:
-    """The set of prospects over all coefficient assignments, built from the
-    parts of f without enumerating the assignments.
+    """The prospects over all coefficient assignments, built from f's parts."""
+    return _option_pass(f)[0]
+
+
+def _option_pass(f: Formula) -> tuple[OptionSet, tuple[int, ...]]:
+    """f's option set and its Hobson nodes' ids, sorted, from one pass.
 
     Assignment i of `coefficient_assignments` sets the or-node of rank r
     among the sorted ids to 0 exactly when bit k-1-r of i is set. A prospect
@@ -199,10 +203,12 @@ def denote_options(f: Formula) -> OptionSet:
     sum's key is the sum of its summands' keys (their or-nodes are disjoint),
     and a right branch's keys grow by its or-node's bit. Where a prospect
     arises twice it keeps the smaller key; sorting by key gives the order of
-    first appearance."""
+    first appearance. An or-node is Hobson's choice when its branches' dicts
+    have the same keys (not values), compared before the right is merged in."""
     _check_denotable(f)
     ids = _coeff_ids(f)
     bit = {cid: 1 << (len(ids) - 1 - rank) for rank, cid in enumerate(ids)}
+    hobsons = []
 
     def go(node: Formula) -> dict[Parts, int]:
         if isinstance(node, AtomNode):
@@ -215,13 +221,15 @@ def denote_options(f: Formula) -> OptionSet:
                     _keep_first(out, _merge(x, y), kx + ky)
             return out
         assert isinstance(node, Or)
+        if left.keys() == right.keys():
+            hobsons.append(node.coeff_id)
         w = bit[node.coeff_id]
         for y, ky in right.items():
             _keep_first(left, y, ky + w)
         return left
 
     keyed = sorted(go(f).items(), key=itemgetter(1))
-    return OptionSet(tuple(Prospect(parts) for parts, _ in keyed))
+    return OptionSet(tuple(Prospect(parts) for parts, _ in keyed)), tuple(sorted(hobsons))
 
 
 def _keep_first(options: dict[Parts, int], parts: Parts, key: int) -> None:
@@ -282,25 +290,15 @@ class Judgment:
 def judge(f: Formula) -> Judgment:
     """Acceptability judgment from the option set. A double image (stative
     atom at coefficient >= 2 in some option) outranks Hobson's choice, which
-    outranks plain acceptability."""
-    options = denote_options(f)
+    outranks plain acceptability; one pass finds the options and Hobson nodes."""
+    options, hobsons = _option_pass(f)
     aspect = {name: atom.aspect for name, atom in atoms(f).items()}
-
-    doubles = []
-    for p in options.sorted():
-        for name, coeff in p.parts:
-            if coeff >= 2 and aspect[name] == STATIVE:
-                doubles.append((p, name, coeff))
-
-    hobsons = []
-    for _, node in or_nodes(f):
-        if denote_options(node.left) == denote_options(node.right):
-            hobsons.append(node.coeff_id)
-
+    doubles = tuple((p, name, coeff) for p in options.sorted() for name, coeff in p.parts
+                    if coeff >= 2 and aspect[name] == STATIVE)
     if doubles:
         category = Category.WEIRD_DOUBLE_IMAGE
     elif hobsons:
         category = Category.ODD_HOBSON
     else:
         category = Category.ACCEPTABLE
-    return Judgment(category, tuple(doubles), tuple(hobsons))
+    return Judgment(category, doubles, hobsons)

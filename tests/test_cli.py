@@ -71,6 +71,48 @@ def test_equiv(capsys):
     assert "option-equivalent:  yes" in out
 
 
+XOR_PAIR = ("A xor (B and C)", "(A xor B) and (A xor C)")
+NOT_PAIR = ("not (A and B)", "not A or not B")
+
+
+@pytest.mark.parametrize("pair, verdict, error", [
+    (XOR_PAIR, ["no", "    counterexample: A=1 B=1 C=0"], "xor has no vector denotation"),
+    (NOT_PAIR, ["yes"], "negation has no vector denotation"),
+], ids=["xor", "not"])
+def test_equiv_without_an_option_set_text(capsys, pair, verdict, error):
+    code, out, err = run(capsys, "equiv", *pair)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        f"{pair[0]} vs {pair[1]}:",
+        f"  boolean-equivalent: {verdict[0]}",
+        *verdict[1:],
+        f"  option-equivalent:  undefined ({error})",
+        "  judgments:          undefined",
+        "  judged equivalent:  undefined",
+    ]
+
+
+@pytest.mark.parametrize("pair, valid, witness, error", [
+    (XOR_PAIR, False, {"A": True, "B": True, "C": False}, "xor has no vector denotation"),
+    (NOT_PAIR, True, None, "negation has no vector denotation"),
+], ids=["xor", "not"])
+def test_equiv_without_an_option_set_json(capsys, pair, valid, witness, error):
+    code, out, err = run(capsys, "--format", "json", "equiv", *pair)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "command": "equiv", "left": pair[0], "right": pair[1],
+        "boolean_equivalent": valid, "boolean_witness": witness,
+        "option_equivalent": None, "option_witness": None,
+        "judgments": None, "judged_equivalent": None, "vector_error": error,
+    }
+
+
+def test_equiv_with_option_sets_has_no_vector_error(capsys):
+    code, out, _ = run(capsys, "--format", "json", "equiv", "1a", "2b")
+    assert code == 0
+    assert "vector_error" not in json.loads(out)
+
+
 def test_implicatures_modes(capsys):
     code, gazdar, _ = run(capsys, "implicatures", "A or B")
     assert code == 0

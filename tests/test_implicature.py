@@ -27,10 +27,11 @@ from coordsem import (
     project,
     eval_formula,
     unparse,
+    Xor,
 )
 from coordsem.boolean import ATOM_LIMIT
-from coordsem.formula import atom_names, renumber_coefficients
-from coordsem.implicature import EpistemicConstraint
+from coordsem.formula import atom_names, renumber_coefficients, subformulas
+from coordsem.implicature import EpistemicConstraint, _ordered_or_paths
 
 
 def _c(polarity, text, provenance=Provenance.ASSERTION, source=()):
@@ -107,6 +108,27 @@ def test_scalar_soames_needs_opinionatedness():
     assert _texts(weak_only) == ["notK(A and B)"]
     both = potential_scalar(parse("A or B"), Mode.SOAMES, opinionated=(0,))
     assert _texts(both) == ["notK(A and B)", "K(not (A and B))"]
+
+
+_any_formula = st.recursive(
+    st.builds(lambda n: AtomNode(Atom(n)), st.sampled_from("ABC")),
+    lambda kids: st.one_of(st.builds(And, kids, kids),
+                           st.builds(lambda l, r: Or(l, r, 0), kids, kids),
+                           st.builds(Xor, kids, kids),
+                           st.builds(Not, kids)),
+    max_leaves=12,
+).map(renumber_coefficients)
+
+
+@given(_any_formula)
+def test_or_paths_come_in_path_order(f):
+    path_sorted = sorted(((p, n) for p, n in subformulas(f) if isinstance(n, Or)),
+                         key=lambda pn: pn[0])
+    assert _ordered_or_paths(f) == path_sorted
+    # one or-node per path and two polarities per node: nothing to deduplicate
+    for mode in Mode:
+        scalar = potential_scalar(f, mode, opinionated=(0,))
+        assert scalar == list(dict.fromkeys(scalar))
 
 
 def test_consistent_direct_contradiction():

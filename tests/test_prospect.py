@@ -12,6 +12,7 @@ from coordsem import (
     Atom,
     AtomNode,
     Category,
+    Judgment,
     OptionSet,
     Or,
     Prospect,
@@ -26,7 +27,7 @@ from coordsem import (
     parse,
 )
 from coordsem import prospect
-from coordsem.formula import renumber_coefficients
+from coordsem.formula import STATIVE, atoms, or_nodes, renumber_coefficients
 
 A, B, C = (AtomNode(Atom(n)) for n in "ABC")
 
@@ -239,9 +240,23 @@ def reference_options(f) -> tuple[Prospect, ...]:
 
 
 def _reference_judge(f):
-    with mock.patch.object(prospect, "denote_options",
-                           lambda g: OptionSet(reference_options(g))):
-        return judge(f)
+    """Double images over the enumerated options; an or-node is Hobson's
+    choice when its branches, each enumerated on its own, give equal sets."""
+    aspect = {name: atom.aspect for name, atom in atoms(f).items()}
+    doubles = tuple((p, name, coeff)
+                    for p in OptionSet(reference_options(f)).sorted()
+                    for name, coeff in p.parts
+                    if coeff >= 2 and aspect[name] == STATIVE)
+    hobsons = tuple(node.coeff_id for _, node in or_nodes(f)
+                    if OptionSet(reference_options(node.left))
+                    == OptionSet(reference_options(node.right)))
+    if doubles:
+        category = Category.WEIRD_DOUBLE_IMAGE
+    elif hobsons:
+        category = Category.ODD_HOBSON
+    else:
+        category = Category.ACCEPTABLE
+    return Judgment(category, doubles, hobsons)
 
 
 def _set_ids(f, ids):
@@ -278,9 +293,34 @@ def _shuffled_ids(draw):
 # B first arises on the right branch of the outer or-node, with a smaller
 # key than on its left branch: keeping the first key seen puts C before B
 @example(Or(Or(A, B, 0), Or(B, C, 2), 1))
+# both Hobson nodes, found in the order 1, 0, are reported sorted
+@example(And(Or(A, A, 1), Or(B, B, 0)))
+@example(parse("(A or B) or (B or A)"))
+@example(parse("(A or A) and (B or (C or C))"))
+@example(parse("A or (A or B)"))
 def test_options_match_the_enumerator(f):
     assert denote_options(f).prospects == reference_options(f)
     assert judge(f) == _reference_judge(f)
+
+
+@pytest.mark.parametrize("text, nodes", [
+    # the branches' options are {A, B} on both sides, first reached under
+    # different assignments, so the two dicts differ in their values only
+    ("(A or B) or (B or A)", (1,)),
+    ("(A or A) and (B or (C or C))", (0, 2)),
+    # once B is merged in, the left branch's options are the right's
+    ("A or (A or B)", ()),
+])
+def test_pinned_hobson_nodes(text, nodes):
+    assert judge(parse(text)).hobson_nodes == nodes
+    assert _reference_judge(parse(text)).hobson_nodes == nodes
+
+
+def test_judge_makes_one_option_pass():
+    f = parse(_chain(prospect.COEFF_LIMIT))
+    with mock.patch.object(prospect, "_option_pass", wraps=prospect._option_pass) as spy:
+        judge(f)
+    assert spy.call_count == 1
 
 
 @pytest.mark.parametrize("text", [
