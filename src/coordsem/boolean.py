@@ -12,10 +12,10 @@ the one reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Sequence
 
+from ._record import Record
 from .errors import AtomLimitError, MissingAtomError, UnsupportedConnectiveError
 from .formula import (
     JOIN,
@@ -107,8 +107,7 @@ class Verdict(Enum):
     INVALID = "invalid"
 
 
-@dataclass(frozen=True)
-class LawVerdict:
+class LawVerdict(Record):
     status: Verdict
     counterexample: Optional[dict[str, bool]] = None
     binding: Optional[dict[str, str]] = None  # metavariable -> atom name

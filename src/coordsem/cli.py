@@ -29,7 +29,7 @@ from .formula import (
     parse,
     unparse,
 )
-from .prospect import denote_options, judge
+from .prospect import Judgment, OptionSet, _judged
 from .relevance import (
     check_disjunction_corollary,
     check_frege_theorem,
@@ -77,19 +77,16 @@ def _format_assignment(assignment: dict) -> str:
     return " ".join(f"{k}={'1' if v else '0'}" for k, v in assignment.items())
 
 
-def _item_payload(item: str, f: Formula) -> dict:
-    options = denote_options(f)
-    return {
-        "input": item,
-        "formula": unparse(f),
-        "length": length_metric(f),
-        "options": options.serialize(),
-        "judgment": judge(f).serialize(),
-    }
+def _item(item: str) -> tuple[Formula, tuple[OptionSet, Judgment], dict]:
+    """An item's formula, its option set and judgment from one pass, and its payload."""
+    f = _resolve(item)
+    options, judgment = judged = _judged(f)
+    return f, judged, {"input": item, "formula": unparse(f), "length": length_metric(f),
+                       "options": options.serialize(), "judgment": judgment.serialize()}
 
 
 def _cmd_denote(args: argparse.Namespace) -> dict:
-    return {"command": "denote", "items": [_item_payload(i, _resolve(i)) for i in args.items]}
+    return {"command": "denote", "items": [_item(i)[2] for i in args.items]}
 
 
 def _format_options(serialized: list) -> str:
@@ -107,13 +104,11 @@ def _render_denote(data: dict) -> str:
 
 
 def _cmd_judge(args: argparse.Namespace) -> dict:
-    formulas, items = [], []
-    for item in args.items:  # each payload before the next parse, as in `denote`
-        formulas.append(_resolve(item))
-        items.append(_item_payload(item, formulas[-1]))
-    pairs = [{"left": a, "right": b, **report.compare(f, g).serialize()}
-             for (a, f), (b, g) in combinations(zip(args.items, formulas), 2)]
-    return {"command": "judge", "items": items, "pairs": pairs}
+    items = [_item(i) for i in args.items]  # each payload before the next parse
+    # the pairs reuse their items' option passes
+    pairs = [{"left": a, "right": b, **report._comparison(equivalent(f, g), fj, gj).serialize()}
+             for (a, (f, fj, _)), (b, (g, gj, _)) in combinations(zip(args.items, items), 2)]
+    return {"command": "judge", "items": [payload for _, _, payload in items], "pairs": pairs}
 
 
 def _render_judge(data: dict) -> str:

@@ -21,9 +21,9 @@ operand of a binary connective.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Union
 
+from ._record import Record
 from .errors import ParseError, UnboundMetavariableError, UnknownLabelError
 
 STATIVE = "stative"
@@ -31,8 +31,7 @@ ITERABLE = "iterable"
 ASPECTS = (STATIVE, ITERABLE)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     """A propositional letter with an aspect class.
 
     Statives ("is affable") resist additive repetition in the vector
@@ -49,31 +48,26 @@ class Atom:
             raise ValueError(f"bad aspect: {self.aspect!r}")
 
 
-@dataclass(frozen=True)
-class AtomNode:
+class AtomNode(Record):
     atom: Atom
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     child: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     left: "Formula"
     right: "Formula"
     coeff_id: int
 
 
-@dataclass(frozen=True)
-class Xor:
+class Xor(Record):
     left: "Formula"
     right: "Formula"
 
@@ -405,14 +399,14 @@ _ROLE = {And: MEET, Or: JOIN}
 _CONNECTIVE = {"and": And, "or": Or, "xor": Xor}
 
 
-@dataclass(frozen=True)
-class LawSchema:
+class LawSchema(Record, uncompared=("name",)):
     """A candidate identity: two templates plus a map from meet and join to
     concrete connectives. A template is a formula whose atoms are the
     metavariables (their aspects are ignored), with `and` for meet, `or` for
-    join, and no `not` or `xor`. Name is informational only."""
+    join, and no `not` or `xor`. Name is informational only: equality and
+    hashing ignore it."""
 
-    name: str = field(compare=False)
+    name: str
     lhs: Formula
     rhs: Formula
     connective_map: tuple[tuple[str, str], ...] = ((MEET, "and"), (JOIN, "or"))

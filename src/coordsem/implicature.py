@@ -19,10 +19,10 @@ opinionated about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+from ._record import Record
 from .boolean import ATOM_LIMIT, truth_mask, world
 from .errors import WorkbenchError
 from .formula import And, Formula, Not, Or, atom_names, subformulas, unparse
@@ -47,8 +47,7 @@ class Mode(Enum):
     SOAMES = "soames"
 
 
-@dataclass(frozen=True)
-class EpistemicConstraint:
+class EpistemicConstraint(Record):
     """polarity(body), tagged with how it arose and the path of the
     subformula (for clausal/scalar: the generating or-node) it came from."""
 
@@ -164,8 +163,7 @@ def consistent(
                        if model >> i & 1)
 
 
-@dataclass(frozen=True)
-class Suppression:
+class Suppression(Record):
     constraint: EpistemicConstraint
     clashes_with: tuple[EpistemicConstraint, ...]
 
@@ -176,8 +174,7 @@ class Suppression:
         }
 
 
-@dataclass(frozen=True)
-class ImplicatureReport:
+class ImplicatureReport(Record):
     mode: Mode
     accepted: tuple[EpistemicConstraint, ...]
     suppressed: tuple[Suppression, ...]

@@ -20,12 +20,12 @@ UnsupportedConnectiveError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
+from ._record import Record
 from .errors import SizeLimitError, UnsupportedConnectiveError, WorkbenchError
 from .formula import (
     And,
@@ -67,8 +67,7 @@ def _merge(a: Parts, b: Parts) -> Parts:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Prospect:
+class Prospect(Record):
     """Immutable vector over atom names; entries are positive integers
     (absent means zero). Never the null vector."""
 
@@ -99,8 +98,7 @@ class Prospect:
         return [[name, coeff] for name, coeff in self.parts]
 
 
-@dataclass(frozen=True)
-class OptionSet:
+class OptionSet(Record):
     """The prospects of a formula, one per coefficient assignment, with
     duplicates collapsed. Equality and hashing are set-level; iteration
     follows first appearance in the canonical coefficient enumeration
@@ -239,8 +237,7 @@ def _keep_first(options: dict[Parts, int], parts: Parts, key: int) -> None:
         options[parts] = key
 
 
-@dataclass(frozen=True)
-class OptionComparison:
+class OptionComparison(Record):
     equal: bool
     witness: Optional[Prospect] = None  # a prospect in the symmetric difference
 
@@ -252,7 +249,11 @@ def option_equivalent(f: Formula, g: Formula) -> OptionComparison:
     """Set equality of the two option sets. On inequality the witness is the
     first prospect of g (in canonical coefficient order) missing from f's
     options, else the first of f missing from g's."""
-    fo, go_ = denote_options(f), denote_options(g)
+    return _compare_options(denote_options(f), denote_options(g))
+
+
+def _compare_options(fo: OptionSet, go_: OptionSet) -> OptionComparison:
+    """`option_equivalent` on the two formulas' option sets."""
     if fo == go_:
         return OptionComparison(True)
     for p in go_:
@@ -270,8 +271,7 @@ class Category(Enum):
     WEIRD_DOUBLE_IMAGE = "weird_double_image"
 
 
-@dataclass(frozen=True)
-class Judgment:
+class Judgment(Record):
     category: Category
     # every (option, atom, coefficient) with a stative atom at coefficient >= 2
     double_images: tuple[tuple[Prospect, str, int], ...] = ()
@@ -291,6 +291,11 @@ def judge(f: Formula) -> Judgment:
     """Acceptability judgment from the option set. A double image (stative
     atom at coefficient >= 2 in some option) outranks Hobson's choice, which
     outranks plain acceptability; one pass finds the options and Hobson nodes."""
+    return _judged(f)[1]
+
+
+def _judged(f: Formula) -> tuple[OptionSet, Judgment]:
+    """f's option set and judgment, from one option pass."""
     options, hobsons = _option_pass(f)
     aspect = {name: atom.aspect for name, atom in atoms(f).items()}
     doubles = tuple((p, name, coeff) for p in options.sorted() for name, coeff in p.parts
@@ -301,4 +306,4 @@ def judge(f: Formula) -> Judgment:
         category = Category.ODD_HOBSON
     else:
         category = Category.ACCEPTABLE
-    return Judgment(category, doubles, hobsons)
+    return options, Judgment(category, doubles, hobsons)

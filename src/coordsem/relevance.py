@@ -15,12 +15,12 @@ They build a distribution of Fraction masses only for a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
+from ._record import Record
 from .boolean import assignments, truth_mask
 from .errors import SizeLimitError, ZeroProbabilityError
 from .formula import And, Atom, AtomNode, Formula, Not, Or
@@ -29,8 +29,7 @@ GRID_ATOM_LIMIT = 3
 GRID_DENOMINATOR_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class RationalDist:
+class RationalDist(Record):
     """Probability distribution over the truth assignments of `atoms`;
     masses follow `assignments(atoms)`, are nonnegative and sum to exactly 1."""
 
@@ -74,7 +73,11 @@ class RationalDist:
 def prob(d: RationalDist, f: Formula) -> Fraction:
     """Probability of the event described by f: the mass of its satisfying
     assignments."""
-    mask = truth_mask(f, d.atoms)
+    return _mass(d, truth_mask(f, d.atoms))
+
+
+def _mass(d: RationalDist, mask: int) -> Fraction:
+    """The mass of the worlds in `mask`."""
     return sum((m for i, m in enumerate(d.masses) if mask >> i & 1), Fraction(0))
 
 
@@ -139,8 +142,7 @@ class SearchStatus(Enum):
     COUNTEREXAMPLE = "counterexample"
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     status: SearchStatus
     witness: Optional[RationalDist]
     checked: int
@@ -274,13 +276,21 @@ def check_disjunction_corollary(denominator: int) -> SearchResult:
                                      "both": And(_A, _B)}, tests)
 
 
-def check_explosion_irrelevance(d: RationalDist, b: Formula,
+def check_explosion_irrelevance(d: RationalDist, *events: Formula,
                                 contradiction_atom: str = "A") -> bool:
     """A contradiction is probabilistically irrelevant to anything:
-    P((A and not A) and B) equals P(A and not A) * P(B), both sides zero."""
-    contradiction = And(AtomNode(Atom(contradiction_atom)),
-                        Not(AtomNode(Atom(contradiction_atom))))
-    return prob(d, And(contradiction, b)) == prob(d, contradiction) * prob(d, b)
+    P((A and not A) and B) equals P(A and not A) * P(B), both sides zero,
+    for each event B of `events`. The contradiction, its mask and its mass
+    are found once per call; the mask of (A and not A) and B is the two
+    masks' intersection."""
+    a = AtomNode(Atom(contradiction_atom))
+    contradiction = truth_mask(And(a, Not(a)), d.atoms)
+    p_contradiction = _mass(d, contradiction)
+    for b in events:
+        event = truth_mask(b, d.atoms)
+        if _mass(d, contradiction & event) != p_contradiction * _mass(d, event):
+            return False
+    return True
 
 
 _EXPLOSION_EVENTS = (_B, Not(_B), _A, And(_A, _B), Or(_A, _B, 0))
@@ -288,18 +298,17 @@ _EXPLOSION_EVENTS = (_B, Not(_B), _A, And(_A, _B), Or(_A, _B, 0))
 
 def explosion_on_grid(denominator: int) -> tuple[bool, int]:
     """Explosion irrelevance for each of B, not B, A, A and B, A or B at
-    every point of the grid over {A, B}: whether it holds throughout, and
-    the number of grid points. Points after a violation are counted but not
-    checked."""
+    every point of the grid over {A, B}, one check per point: whether it
+    holds throughout, and the number of grid points. Points after a
+    violation are counted but not checked."""
     holds, points = True, 0
     for d in grid(("A", "B"), denominator):
         points += 1
-        holds = holds and all(check_explosion_irrelevance(d, b) for b in _EXPLOSION_EVENTS)
+        holds = holds and check_explosion_irrelevance(d, *_EXPLOSION_EVENTS)
     return holds, points
 
 
-@dataclass(frozen=True)
-class LikelihoodPair:
+class LikelihoodPair(Record):
     """(P(e|h), P(e|not h)); ordering compares the ratios by
     cross-multiplication, so a zero denominator encodes infinite relevance
     without ever forming a quotient."""

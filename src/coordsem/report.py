@@ -7,9 +7,8 @@ or the probability searches surfaces as a mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import implicature as imp
+from ._record import Record
 from .boolean import LawVerdict, check_law, equivalent, eval_formula, xor_parity
 from .formula import (
     STANDARD_LAWS,
@@ -27,9 +26,11 @@ from .prospect import (
     Category,
     Judgment,
     OptionComparison,
+    OptionSet,
+    _compare_options,
+    _judged,
     denote_options,
     judge,
-    option_equivalent,
 )
 from .relevance import (
     check_disjunction_corollary,
@@ -44,8 +45,7 @@ LAWS_BY_NAME = {law.name: law for law in STANDARD_LAWS}
 # ---------------------------------------------------------------------------
 # Side-by-side comparison of two formulas under both semantics
 
-@dataclass(frozen=True)
-class PairComparison:
+class PairComparison(Record):
     boolean: LawVerdict
     options: OptionComparison
     judgment_left: Judgment
@@ -81,14 +81,22 @@ class PairComparison:
 
 
 def compare(f: Formula, g: Formula) -> PairComparison:
-    return PairComparison(equivalent(f, g), option_equivalent(f, g), judge(f), judge(g))
+    verdict = equivalent(f, g)  # its errors come before the option passes'
+    return _comparison(verdict, _judged(f), _judged(g))
+
+
+def _comparison(verdict: LawVerdict, left: tuple[OptionSet, Judgment],
+                right: tuple[OptionSet, Judgment]) -> PairComparison:
+    """The comparison of two formulas from their boolean verdict and each
+    side's option set and judgment, as one option pass gives them."""
+    (fo, fj), (go, gj) = left, right
+    return PairComparison(verdict, _compare_options(fo, go), fj, gj)
 
 
 # ---------------------------------------------------------------------------
 # Records
 
-@dataclass(frozen=True)
-class ReportRecord:
+class ReportRecord(Record):
     claim: str
     inputs: str
     expected: object

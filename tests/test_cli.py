@@ -5,11 +5,20 @@ from __future__ import annotations
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coordsem import assertions, consistent, parse, potential_clausal, potential_scalar, report
+from coordsem import (
+    assertions,
+    consistent,
+    parse,
+    potential_clausal,
+    potential_scalar,
+    prospect,
+    report,
+)
 from coordsem.boolean import ATOM_LIMIT
 from coordsem.cli import main
 from coordsem.formula import _CORPUS_TEXT, MAX_DEPTH
@@ -52,6 +61,21 @@ def test_judge_pair(capsys):
     assert "judgment: weird_double_image" in out
     assert "boolean-equivalent: yes" in out
     assert "option-equivalent:  no" in out
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (("judge", "1a"), 1),
+    (("judge", "1a", "2b"), 2),
+    (("judge", "1a", "2b", "5a"), 3),
+    (("denote", "1a", "2b"), 2),
+    (("equiv", "1a", "2b"), 2),
+])
+def test_one_option_pass_per_item(capsys, argv, passes):
+    # each item's options and judgment come from one pass, and its pairs reuse it
+    with mock.patch.object(prospect, "_option_pass", wraps=prospect._option_pass) as spy:
+        code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert spy.call_count == passes
 
 
 def test_judge_json_and_text_carry_the_same_payload(capsys, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from coordsem import (
     And,
     Atom,
+    AtomLimitError,
     AtomNode,
     Category,
     Judgment,
@@ -19,6 +20,7 @@ from coordsem import (
     SizeLimitError,
     UnsupportedConnectiveError,
     WorkbenchError,
+    compare,
     corpus_lookup,
     denote_one,
     denote_options,
@@ -321,6 +323,22 @@ def test_judge_makes_one_option_pass():
     with mock.patch.object(prospect, "_option_pass", wraps=prospect._option_pass) as spy:
         judge(f)
     assert spy.call_count == 1
+
+
+def test_compare_makes_one_option_pass_per_side():
+    f, g = parse("A or (B and C)"), parse("(A or B) and (A or C)")
+    with mock.patch.object(prospect, "_option_pass", wraps=prospect._option_pass) as spy:
+        cmp = compare(f, g)
+    assert spy.call_count == 2
+    assert cmp.options == option_equivalent(f, g)
+    assert (cmp.judgment_left, cmp.judgment_right) == (judge(f), judge(g))
+
+
+def test_compare_checks_the_truth_tables_before_the_option_passes():
+    # a side without an option set still reports the atom limit first
+    wide = parse(" and ".join(f"P{i}" for i in range(13)))
+    with pytest.raises(AtomLimitError):
+        compare(parse("A xor B"), wide)
 
 
 @pytest.mark.parametrize("text", [

@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,7 @@ from coordsem import (
     parse,
     prob,
 )
+from coordsem import relevance
 from coordsem.boolean import assignments
 from coordsem.formula import atom_names
 from coordsem.relevance import (
@@ -215,6 +217,45 @@ def test_explosion_irrelevance_on_grid():
 def test_explosion_irrelevance_degenerate_point_mass():
     d = dist(["A", "B"], tt=F(1))
     assert check_explosion_irrelevance(d, parse("B or not B"))
+
+
+def reference_explosion(d, b, contradiction_atom="A"):
+    """The single-event check, each probability from its own event."""
+    a = AtomNode(Atom(contradiction_atom))
+    contradiction = And(a, Not(a))
+    return prob(d, And(contradiction, b)) == prob(d, contradiction) * prob(d, b)
+
+
+_EVENT_TEXTS = ("B", "not B", "A", "A and B", "A or B", "A xor not B", "B and not B")
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 6), st.data())
+def test_explosion_over_events_matches_the_single_event_check(den, data):
+    d = data.draw(st.sampled_from(list(grid(["A", "B"], den))))
+    events = [parse(t) for t in data.draw(st.lists(st.sampled_from(_EVENT_TEXTS)))]
+    expected = all(reference_explosion(d, b) for b in events)
+    assert check_explosion_irrelevance(d, *events) is expected
+    assert check_explosion_irrelevance(d, *events, contradiction_atom="B") is all(
+        reference_explosion(d, b, "B") for b in events)
+
+
+def test_explosion_errors_match_the_single_event_check():
+    d = dist(["A", "B"], tt=F(1))
+    for b, atom in ((parse("C"), "A"), (parse("B"), "C")):
+        with pytest.raises(MissingAtomError) as mine:
+            check_explosion_irrelevance(d, parse("A"), b, contradiction_atom=atom)
+        with pytest.raises(MissingAtomError) as theirs:
+            reference_explosion(d, b, atom)
+        assert str(mine.value) == str(theirs.value)
+
+
+def test_explosion_on_grid_checks_each_point_once():
+    with mock.patch.object(relevance, "check_explosion_irrelevance",
+                           wraps=relevance.check_explosion_irrelevance) as spy:
+        assert explosion_on_grid(4) == (True, grid_size(2, 4))
+    assert spy.call_count == grid_size(2, 4)
+    assert all(len(call.args) == 6 for call in spy.call_args_list)  # d and five events
 
 
 def test_llr_self_evidence_is_infinitely_positive():
