@@ -139,11 +139,11 @@ def _yn(b: bool) -> str:
 
 def _cmd_equiv(args: argparse.Namespace) -> dict:
     f, g = _resolve(args.left), _resolve(args.right)
+    verdict = equivalent(f, g)  # its errors come before the option passes'
     try:
-        cmp = report.compare(f, g).serialize()
+        cmp = report._comparison(verdict, _judged(f), _judged(g)).serialize()
     except UnsupportedConnectiveError as err:
         # not and xor have a truth table but no option set: the vector half is undefined
-        verdict = equivalent(f, g)
         cmp = {"boolean_equivalent": verdict.valid, "boolean_witness": verdict.counterexample,
                "option_equivalent": None, "option_witness": None, "judgments": None,
                "judged_equivalent": None, "vector_error": str(err)}
@@ -245,17 +245,6 @@ def _render_reproduce(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_RENDERERS = {
-    "laws": _render_laws,
-    "denote": _render_denote,
-    "judge": _render_judge,
-    "equiv": _render_equiv,
-    "implicatures": _render_implicatures,
-    "prob": _render_prob,
-    "reproduce": _render_reproduce,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coordsem",
@@ -270,20 +259,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("laws", help="verdict matrix for the six lattice laws")
     p.add_argument("--connectives", choices=("classical", "xor"), default="classical")
-    p.set_defaults(handler=_cmd_laws)
+    p.set_defaults(handler=_cmd_laws, render=_render_laws)
 
     p = sub.add_parser("denote", help="option sets of formulas or corpus labels")
     p.add_argument("items", nargs="+", metavar="ITEM")
-    p.set_defaults(handler=_cmd_denote)
+    p.set_defaults(handler=_cmd_denote, render=_render_denote)
 
     p = sub.add_parser("judge", help="acceptability judgments, plus pairwise comparisons")
     p.add_argument("items", nargs="+", metavar="ITEM")
-    p.set_defaults(handler=_cmd_judge)
+    p.set_defaults(handler=_cmd_judge, render=_render_judge)
 
     p = sub.add_parser("equiv", help="boolean and option equivalence of two items")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(handler=_cmd_equiv)
+    p.set_defaults(handler=_cmd_equiv, render=_render_equiv)
 
     p = sub.add_parser("implicatures", help="assertion-precedence implicature projection")
     p.add_argument("item")
@@ -291,17 +280,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--opinionated", default="",
                    help="comma-separated or-node ids the speaker is opinionated about "
                         "(soames mode)")
-    p.set_defaults(handler=_cmd_implicatures)
+    p.set_defaults(handler=_cmd_implicatures, render=_render_implicatures)
 
     p = sub.add_parser("prob", help="exact-rational relevance checks on probability grids")
     p.add_argument("check", choices=("frege", "corollary", "explosion", "ordering"))
     p.add_argument("--denominator", type=int, default=6)
     p.add_argument("--drop-beta", action="store_true",
                    help="frege only: drop the uncertainty premise (expect a counterexample)")
-    p.set_defaults(handler=_cmd_prob)
+    p.set_defaults(handler=_cmd_prob, render=_render_prob)
 
     p = sub.add_parser("reproduce", help="run every claim check; nonzero exit on mismatch")
-    p.set_defaults(handler=_cmd_reproduce)
+    p.set_defaults(handler=_cmd_reproduce, render=_render_reproduce)
 
     return parser
 
@@ -325,7 +314,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.format == "json":
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        out = _RENDERERS[payload["command"]](payload)
+        out = args.render(payload)
     sys.stdout.write(out)
     if payload["command"] == "reproduce" and payload["summary"]["mismatches"]:
         return 1

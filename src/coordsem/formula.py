@@ -217,8 +217,8 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
         self.depth = 0
-        # name -> (aspect or None if only defaulted, position of first annotation)
-        self.aspects: dict[str, tuple[str | None, int]] = {}
+        # name -> aspect, or None if only defaulted so far
+        self.aspects: dict[str, str | None] = {}
 
     def parse(self) -> Formula:
         f = self._expr()
@@ -228,7 +228,7 @@ class _Parser:
         # Fixes each atom's aspect (placeholders are stative) and numbers the
         # Or nodes in textual order.
         iterable = {name: AtomNode(Atom(name, ITERABLE))
-                    for name, (aspect, _) in self.aspects.items() if aspect == ITERABLE}
+                    for name, aspect in self.aspects.items() if aspect == ITERABLE}
         return _rebuild(f, lambda node: iterable.get(node.atom.name, node), _SAME)
 
     def _nested(self, parse_part: Callable[[], Formula]) -> Formula:
@@ -286,14 +286,10 @@ class _Parser:
     def _record_aspect(self, name: str, aspect: str | None, pos: int) -> None:
         prev = self.aspects.get(name)
         if prev is None:
-            self.aspects[name] = (aspect, pos)
-        elif aspect is not None:
-            prev_aspect, _ = prev
-            if prev_aspect is None:
-                self.aspects[name] = (aspect, pos)
-            elif prev_aspect != aspect:
-                raise ParseError(
-                    f"conflicting aspect for atom {name!r}: {prev_aspect} vs {aspect}", pos)
+            self.aspects[name] = aspect
+        elif aspect is not None and prev != aspect:
+            raise ParseError(
+                f"conflicting aspect for atom {name!r}: {prev} vs {aspect}", pos)
 
 
 def parse(text: str) -> Formula:

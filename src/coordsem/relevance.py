@@ -160,14 +160,6 @@ class SearchResult(Record):
         }
 
 
-def _no_counterexample(checked: int) -> SearchResult:
-    return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked)
-
-
-def _counterexample(d: RationalDist, checked: int) -> SearchResult:
-    return SearchResult(SearchStatus.COUNTEREXAMPLE, d, checked)
-
-
 def _search(atoms: Sequence[str], denominator: int, events: Mapping[str, Formula],
             tests: Callable[[Callable[[str], int]], Sequence[bool]]) -> SearchResult:
     """The integer loop of the grid searches. It walks the cell counts of
@@ -206,8 +198,9 @@ def _search(atoms: Sequence[str], denominator: int, events: Mapping[str, Formula
         for holds in tests(mass):
             checked += 1
             if not holds:
-                return _counterexample(_dist(ordered, counts, denominator), checked)
-    return _no_counterexample(checked)
+                return SearchResult(SearchStatus.COUNTEREXAMPLE,
+                                    _dist(ordered, counts, denominator), checked)
+    return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked)
 
 
 _A, _B, _C, _H = (AtomNode(Atom(n)) for n in "ABCH")
@@ -293,19 +286,31 @@ def check_explosion_irrelevance(d: RationalDist, *events: Formula,
     return True
 
 
+_CONTRADICTION = And(_A, Not(_A))
 _EXPLOSION_EVENTS = (_B, Not(_B), _A, And(_A, _B), Or(_A, _B, 0))
 
 
 def explosion_on_grid(denominator: int) -> tuple[bool, int]:
-    """Explosion irrelevance for each of B, not B, A, A and B, A or B at
-    every point of the grid over {A, B}, one check per point: whether it
-    holds throughout, and the number of grid points. Points after a
-    violation are counted but not checked."""
-    holds, points = True, 0
-    for d in grid(("A", "B"), denominator):
-        points += 1
-        holds = holds and check_explosion_irrelevance(d, *_EXPLOSION_EVENTS)
-    return holds, points
+    """Explosion irrelevance, as `check_explosion_irrelevance` finds it with
+    the contradiction on A, for each of B, not B, A, A and B, A or B at
+    every point of the grid over {A, B}, one test per point: whether it
+    holds throughout, and the number of points checked. In counts,
+    P(contradiction and e) = P(contradiction) * P(e) reads
+    both * den == contradiction * e. The contradiction's mask is empty, so
+    both sides are zero, no point violates it and every point is checked."""
+    den = denominator
+    events = {"contradiction": _CONTRADICTION}
+    pairs = []
+    for i, e in enumerate(_EXPLOSION_EVENTS):
+        events[f"e{i}"], events[f"both{i}"] = e, And(_CONTRADICTION, e)
+        pairs.append((f"both{i}", f"e{i}"))
+
+    def tests(mass: Callable[[str], int]) -> tuple[bool]:
+        c = mass("contradiction")
+        return (all(mass(both) * den == c * mass(e) for both, e in pairs),)
+
+    result = _search(("A", "B"), den, events, tests)
+    return result.status is SearchStatus.NO_COUNTEREXAMPLE, result.checked
 
 
 class LikelihoodPair(Record):

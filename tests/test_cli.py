@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from coordsem import (
     assertions,
+    cli,
     consistent,
     parse,
     potential_clausal,
@@ -135,6 +136,16 @@ def test_equiv_with_option_sets_has_no_vector_error(capsys):
     code, out, _ = run(capsys, "--format", "json", "equiv", "1a", "2b")
     assert code == 0
     assert "vector_error" not in json.loads(out)
+
+
+@pytest.mark.parametrize("pair", [XOR_PAIR, NOT_PAIR, ("1a", "2b")], ids=["xor", "not", "or"])
+def test_equiv_compares_the_truth_tables_once(capsys, pair):
+    # the verdict is computed first and reused whether or not both sides have options
+    spy = mock.Mock(wraps=cli.equivalent)
+    with mock.patch.object(cli, "equivalent", spy), mock.patch.object(report, "equivalent", spy):
+        code, _, _ = run(capsys, "equiv", *pair)
+    assert code == 0
+    assert spy.call_count == 1
 
 
 def test_implicatures_modes(capsys):

@@ -75,12 +75,18 @@ def test_parse_aspect_annotations():
     f = parse("talks:iterable and talks")
     atom = Atom("talks", "iterable")
     assert f == And(AtomNode(atom), AtomNode(atom))
+    assert parse("talks and talks:iterable") == f  # a later annotation fixes it too
     assert parse("A") == A  # stative by default
 
 
 def test_parse_conflicting_aspects_rejected():
-    with pytest.raises(ParseError):
-        parse("A:stative and A:iterable")
+    # reported at the annotation that conflicts
+    for text, position in (("A:stative and A:iterable", 14),
+                           ("A and A:iterable and B or A:stative", 26)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == position
+        assert "conflicting aspect for atom 'A'" in str(err.value)
 
 
 def test_parse_errors_carry_position():

@@ -5,7 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +17,7 @@ from coordsem import (
     Not,
     Or,
     RationalDist,
+    SearchResult,
     SearchStatus,
     SizeLimitError,
     WorkbenchError,
@@ -43,9 +43,7 @@ from coordsem.relevance import (
     GRID_DENOMINATOR_LIMIT,
     LikelihoodPair,
     _compositions,
-    _counterexample,
     _dist,
-    _no_counterexample,
     grid_size,
 )
 
@@ -250,12 +248,38 @@ def test_explosion_errors_match_the_single_event_check():
         assert str(mine.value) == str(theirs.value)
 
 
-def test_explosion_on_grid_checks_each_point_once():
-    with mock.patch.object(relevance, "check_explosion_irrelevance",
-                           wraps=relevance.check_explosion_irrelevance) as spy:
-        assert explosion_on_grid(4) == (True, grid_size(2, 4))
-    assert spy.call_count == grid_size(2, 4)
-    assert all(len(call.args) == 6 for call in spy.call_args_list)  # d and five events
+_GRID_EVENT_TEXTS = ("B", "not B", "A", "A and B", "A or B")
+
+
+def reference_explosion_on_grid(denominator):
+    """The per-point Fraction loop that the integer search replaced: one
+    check per grid point, and points after a violation counted but not
+    checked."""
+    events = [parse(t) for t in _GRID_EVENT_TEXTS]
+    holds, points = True, 0
+    for d in grid(("A", "B"), denominator):
+        points += 1
+        holds = holds and check_explosion_irrelevance(d, *events)
+    return holds, points
+
+
+@pytest.mark.parametrize("den", range(1, GRID_DENOMINATOR_LIMIT + 1))
+def test_explosion_on_grid_matches_the_reference_loop(den):
+    # one test per grid point: every point is checked, none twice
+    assert explosion_on_grid(den) == reference_explosion_on_grid(den) == \
+        (True, grid_size(2, den))
+
+
+def test_explosion_on_grid_reads_the_event_masses(monkeypatch):
+    # With A, which is no contradiction, in its place the check fails at
+    # the first point where A is dependent on one of the events.
+    a = parse("A")
+    events = [parse(t) for t in _GRID_EVENT_TEXTS]
+    first = next(i for i, d in enumerate(grid(("A", "B"), 4), 1)
+                 if any(prob(d, And(a, e)) != prob(d, a) * prob(d, e) for e in events))
+    monkeypatch.setattr(relevance, "_CONTRADICTION", a)
+    assert explosion_on_grid(4) == (False, first)
+    assert first < grid_size(2, 4)
 
 
 def test_llr_self_evidence_is_infinitely_positive():
@@ -356,8 +380,8 @@ def reference_frege(denominator, premise_variants=("beta", "delta")):
                 continue
             checked += 1
             if not cond_prob(d, _C, _A) > pc:
-                return _counterexample(d, checked)
-    return _no_counterexample(checked)
+                return SearchResult(SearchStatus.COUNTEREXAMPLE, d, checked)
+    return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked)
 
 
 def reference_corollary(denominator):
@@ -372,10 +396,10 @@ def reference_corollary(denominator):
         pb_given_a = cond_prob(d, _B, _A)
         pa_given_b = cond_prob(d, _A, _B)
         if not (pb_given_a < pb and pa_given_b < pa):
-            return _counterexample(d, checked)
+            return SearchResult(SearchStatus.COUNTEREXAMPLE, d, checked)
         if prob(d, both) == 0 and pb_given_a != 0:
-            return _counterexample(d, checked)
-    return _no_counterexample(checked)
+            return SearchResult(SearchStatus.COUNTEREXAMPLE, d, checked)
+    return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked)
 
 
 def reference_ordering(denominator):
@@ -403,10 +427,10 @@ def reference_ordering(denominator):
         strongest = lr_b if lr_a < lr_b else lr_a
         lr_or, lr_and = llr(d, disj, _H), llr(d, conj, _H)
         if not (lr_or <= strongest and strongest <= lr_and):
-            return _counterexample(d, checked), equalities
+            return SearchResult(SearchStatus.COUNTEREXAMPLE, d, checked), equalities
         if lr_or.same_relevance(strongest) or strongest.same_relevance(lr_and):
             equalities += 1
-    return _no_counterexample(checked), equalities
+    return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked), equalities
 
 
 _VARIANT_ORDERS = [order for k in range(1, len(FREGE_PREMISE_VARIANTS) + 1)
