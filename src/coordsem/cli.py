@@ -198,27 +198,22 @@ def _render_implicatures(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SEARCHES = {"frege": check_frege_theorem, "corollary": check_disjunction_corollary,
+             "explosion": explosion_on_grid, "ordering": check_relevance_ordering}
+
+
 def _cmd_prob(args: argparse.Namespace) -> dict:
-    den = args.denominator
-    if args.check == "frege":
-        variants = ("none",) if args.drop_beta else ("beta", "delta")
-        result = check_frege_theorem(den, premise_variants=variants)
-        payload = result.serialize()
-    elif args.check == "corollary":
-        payload = check_disjunction_corollary(den).serialize()
-    elif args.check == "ordering":
-        payload = check_relevance_ordering(den).serialize()
-    else:  # explosion
-        holds, count = explosion_on_grid(den)
-        payload = {"status": "holds" if holds else "violated", "checked": count}
-    return {"command": "prob", "check": args.check, "denominator": den, "result": payload}
+    den, search = args.denominator, _SEARCHES[args.check]
+    result = search(den, args.drop_beta) if args.check == "frege" else search(den)
+    return {"command": "prob", "check": args.check, "denominator": den,
+            "result": result.serialize()}
 
 
 def _render_prob(data: dict) -> str:
     result = data["result"]
     lines = [f"{data['check']} at denominator {data['denominator']}: {result['status']}"
              f" ({result['checked']} distributions checked)"]
-    if result.get("witness"):
+    if result["witness"]:
         lines.append("  witness:")
         for key, mass in result["witness"]:
             lines.append(f"    P({key}) = {mass}")
@@ -283,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_implicatures, render=_render_implicatures)
 
     p = sub.add_parser("prob", help="exact-rational relevance checks on probability grids")
-    p.add_argument("check", choices=("frege", "corollary", "explosion", "ordering"))
+    p.add_argument("check", choices=tuple(_SEARCHES))
     p.add_argument("--denominator", type=int, default=6)
     p.add_argument("--drop-beta", action="store_true",
                    help="frege only: drop the uncertainty premise (expect a counterexample)")

@@ -196,7 +196,7 @@ class _Tokenizer:
             else:
                 self.tokens.append((m.group("punct"), m.group("punct"), pos))
             pos = m.end()
-        self.tokens.append(("end", "", len(text)))
+        self.tokens.append(("end", "end of input", len(text)))
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -209,7 +209,7 @@ class _Tokenizer:
     def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.take()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1] or 'end of input'!r}", tok[2])
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
 
@@ -281,7 +281,7 @@ class _Parser:
             self._record_aspect(value, aspect, pos)
             # aspect fixed after the whole parse; placeholder stative for now
             return AtomNode(Atom(value))
-        raise ParseError(f"expected a formula, found {value or 'end of input'!r}", pos)
+        raise ParseError(f"expected a formula, found {value!r}", pos)
 
     def _record_aspect(self, name: str, aspect: str | None, pos: int) -> None:
         prev = self.aspects.get(name)

@@ -6,11 +6,14 @@ atom tuple, in the world order of `coordsem.boolean`; all arithmetic is
 exact, and likelihood-ratio comparisons are decided by cross-multiplication
 rather than floating logarithms.
 
-The grid searches run on integer cell counts over the grid's common
-denominator: an event's mass is a sum of counts over its cells, taken only
-when a premise or conclusion reads it, and every premise and conclusion is
-an integer comparison by cross-multiplication.
-They build a distribution of Fraction masses only for a witness.
+The four grid claims (Frege's theorem, the disjunction corollary, explosion
+irrelevance and the relevance ordering) share one search loop, one result
+type, `SearchResult`, and one set of size limits, `GRID_ATOM_LIMIT` and
+`GRID_DENOMINATOR_LIMIT`. The loop runs on integer cell counts over the
+grid's common denominator: an event's mass is a sum of counts over its
+cells, taken only when a premise or conclusion reads it, and every premise
+and conclusion is an integer comparison by cross-multiplication. A
+distribution of Fraction masses is built only for a witness.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ class RationalDist(Record):
     masses: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if tuple(sorted(self.atoms)) != self.atoms:
-            raise ValueError("atoms must be sorted")
+        if tuple(sorted(set(self.atoms))) != self.atoms:
+            raise ValueError("atoms must be sorted and distinct")
         if len(self.masses) != 2 ** len(self.atoms):
             raise ValueError("one mass per truth assignment required")
         if any(m < 0 for m in self.masses):
@@ -152,11 +155,6 @@ class SearchResult(Record):
             "status": self.status.value,
             "witness": self.witness.serialize() if self.witness else None,
             "checked": self.checked,
-            # Boundary cases where a weak inequality held with equality. Every
-            # conclusion the searches test is strict, and the ordering's weak
-            # inequalities are strict under its premises (see
-            # check_relevance_ordering), so there are none.
-            "equalities": 0,
         }
 
 
@@ -205,42 +203,32 @@ def _search(atoms: Sequence[str], denominator: int, events: Mapping[str, Formula
 
 _A, _B, _C, _H = (AtomNode(Atom(n)) for n in "ABCH")
 
-FREGE_PREMISE_VARIANTS = ("beta", "delta", "none")
 
-
-def check_frege_theorem(
-    denominator: int,
-    premise_variants: Sequence[str] = ("beta", "delta"),
-) -> SearchResult:
+def check_frege_theorem(denominator: int, drop_beta: bool = False) -> SearchResult:
     """Conditionalization on A raises the probability of C whenever the
     material implication from A to C is certain and the premises hold.
 
     Premise predicates over the grid on atoms {A, C}:
         alpha: P(A implies C) = 1       (always required)
         beta:  0 < P(A) < 1 and 0 < P(C) < 1
-        delta: P(A) != 0 and P(C) != 1  (weakening of beta given alpha)
-        none:  only alpha (plus P(A) > 0 so conditioning is defined) —
-               dropping beta entirely, which admits counterexamples.
 
-    The conclusion tested is P(C|A) > P(C). One result covers every
-    requested variant; `checked` counts premise-satisfying tests."""
-    for variant in premise_variants:
-        if variant not in FREGE_PREMISE_VARIANTS:
-            raise ValueError(f"unknown premise variant {variant!r}")
+    With `drop_beta`, only alpha and P(A) > 0, so that conditioning is
+    defined, are required; that admits counterexamples. Under alpha,
+    P(A) <= P(C), so beta is equivalent to its seeming weakening
+    P(A) != 0 and P(C) != 1: one test per point covers both.
+
+    The conclusion tested is P(C|A) > P(C); `checked` counts the points
+    that satisfy the premises."""
     den = denominator
 
-    def tests(mass: Callable[[str], int]) -> list[bool]:
+    def tests(mass: Callable[[str], int]) -> tuple[bool, ...]:
         if mass("implication") != den:  # alpha
-            return []
+            return ()
         a, c = mass("a"), mass("c")
-        premises = {"beta": 0 < a < den and 0 < c < den,
-                    "delta": a != 0 and c != den,
-                    "none": a != 0}
-        admitted = sum(premises[variant] for variant in premise_variants)
-        if not admitted:
-            return []
-        # P(C|A) > P(C), that is ac / a > c / den; every variant needs a > 0
-        return [mass("ac") * den > c * a] * admitted
+        if not (a != 0 if drop_beta else (0 < a < den and 0 < c < den)):
+            return ()
+        # P(C|A) > P(C), that is ac / a > c / den, with a > 0
+        return (mass("ac") * den > c * a,)
 
     return _search(("A", "C"), den,
                    {"implication": Not(And(_A, Not(_C))), "a": _A, "c": _C,
@@ -290,11 +278,10 @@ _CONTRADICTION = And(_A, Not(_A))
 _EXPLOSION_EVENTS = (_B, Not(_B), _A, And(_A, _B), Or(_A, _B, 0))
 
 
-def explosion_on_grid(denominator: int) -> tuple[bool, int]:
+def explosion_on_grid(denominator: int) -> SearchResult:
     """Explosion irrelevance, as `check_explosion_irrelevance` finds it with
     the contradiction on A, for each of B, not B, A, A and B, A or B at
-    every point of the grid over {A, B}, one test per point: whether it
-    holds throughout, and the number of points checked. In counts,
+    every point of the grid over {A, B}, one test per point. In counts,
     P(contradiction and e) = P(contradiction) * P(e) reads
     both * den == contradiction * e. The contradiction's mask is empty, so
     both sides are zero, no point violates it and every point is checked."""
@@ -309,8 +296,7 @@ def explosion_on_grid(denominator: int) -> tuple[bool, int]:
         c = mass("contradiction")
         return (all(mass(both) * den == c * mass(e) for both, e in pairs),)
 
-    result = _search(("A", "B"), den, events, tests)
-    return result.status is SearchStatus.NO_COUNTEREXAMPLE, result.checked
+    return _search(("A", "B"), den, events, tests)
 
 
 class LikelihoodPair(Record):
@@ -368,9 +354,7 @@ def check_relevance_ordering(denominator: int) -> SearchResult:
     b(1-a) / (b'(1-a')), whose denominators are positive (a' < 1); the second
     ratio is (b/b')((1-a)/(1-a')) < b/b' <= a/a', because 1-a < 1-a', so the
     mediant is below a/a'. Hence no grid point meets either inequality with
-    equality, and `equalities` is always 0."""
-    if denominator > 8:
-        raise SizeLimitError("relevance ordering supports denominators up to 8")
+    equality."""
     den = denominator
     conj, disj, not_h = And(_A, _B), Or(_A, _B, 0), Not(_H)
     events = {"h": _H}

@@ -33,6 +33,7 @@ from .prospect import (
     judge,
 )
 from .relevance import (
+    SearchStatus,
     check_disjunction_corollary,
     check_frege_theorem,
     check_relevance_ordering,
@@ -306,7 +307,7 @@ def probability_records() -> list[ReportRecord]:
         result = check_frege_theorem(den)
         records.append(ReportRecord(f"probability.frege.den{den}", f"denominator={den}",
                                     "no_counterexample", result.status.value))
-    control = check_frege_theorem(6, premise_variants=("none",))
+    control = check_frege_theorem(6, drop_beta=True)
     records.append(ReportRecord("probability.frege.drop_beta",
                                 "denominator=6, premises reduced to alpha",
                                 "counterexample", control.status.value))
@@ -314,10 +315,9 @@ def probability_records() -> list[ReportRecord]:
         result = check_disjunction_corollary(den)
         records.append(ReportRecord(f"probability.corollary.den{den}", f"denominator={den}",
                                     "no_counterexample", result.status.value))
-    holds, _ = explosion_on_grid(4)
     records.append(ReportRecord("probability.explosion.den4",
-                                "all denominator-4 distributions over {A,B}",
-                                True, holds))
+                                "all denominator-4 distributions over {A,B}", True,
+                                explosion_on_grid(4).status is SearchStatus.NO_COUNTEREXAMPLE))
     for den in (4, 6):
         result = check_relevance_ordering(den)
         records.append(ReportRecord(f"probability.ordering.den{den}", f"denominator={den}",

@@ -173,7 +173,18 @@ def test_prob_frege(capsys):
 def test_prob_explosion(capsys):
     code, out, _ = run(capsys, "prob", "explosion", "--denominator", "4")
     assert code == 0
-    assert "holds" in out and "35 distributions" in out
+    assert "explosion at denominator 4: no_counterexample (35 distributions checked)" in out
+
+
+@pytest.mark.parametrize("check", ["frege", "corollary", "explosion", "ordering"])
+def test_prob_searches_share_one_result_and_one_limit(capsys, check):
+    code, out, _ = run(capsys, "--format", "json", "prob", check, "--denominator", "12")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert sorted(result) == ["checked", "status", "witness"]
+    code, out, err = run(capsys, "prob", check, "--denominator", "13")
+    assert (code, out) == (2, "")
+    assert "denominator must be in 1..12, got 13" in err
 
 
 def test_reproduce_matches(capsys):

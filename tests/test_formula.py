@@ -105,6 +105,14 @@ def test_parse_errors_carry_position():
         parse("A:stale")
 
 
+@pytest.mark.parametrize("text, position", [("A:", 2), ("A and", 5), ("(A", 2), ("", 0)])
+def test_parse_errors_at_the_end_name_the_end_of_input(text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+    assert "found 'end of input'" in str(err.value)
+
+
 def test_unparse_minimal_parentheses():
     assert unparse(parse("A and (B or C)")) == "A and (B or C)"
     assert unparse(parse("(A and B) or (A and C)")) == "A and B or A and C"

@@ -24,12 +24,14 @@ from coordsem import (
     corpus_lookup,
     denote_one,
     denote_options,
+    eval_formula,
     judge,
     option_equivalent,
     parse,
 )
 from coordsem import prospect
-from coordsem.formula import STATIVE, atoms, or_nodes, renumber_coefficients
+from coordsem.boolean import assignments, truth_mask
+from coordsem.formula import STATIVE, atom_names, atoms, or_nodes, renumber_coefficients
 
 A, B, C = (AtomNode(Atom(n)) for n in "ABC")
 
@@ -424,3 +426,37 @@ def test_arithmetic_distributivity_of_options(x, y, z):
     lhs = parse(f"{x} and ({y} or {z})")
     rhs = parse(f"({x} and {y}) or ({x} and {z})")
     assert option_equivalent(lhs, rhs).equal
+
+
+# ---------------------------------------------------------------------------
+# Option equivalence implies boolean equivalence: an option set fixes the
+# truth table, which is the disjunction over options of the conjunction of
+# each option's atoms.
+
+def _and_or_texts(leaves):
+    """Every fully bracketed and/or formula with `leaves` leaves over A, B, C."""
+    if leaves == 1:
+        yield from "ABC"
+        return
+    for k in range(1, leaves):
+        for left in _and_or_texts(k):
+            for right in _and_or_texts(leaves - k):
+                yield f"({left} and {right})"
+                yield f"({left} or {right})"
+
+
+def test_option_equivalent_formulas_are_boolean_equivalent():
+    formulas = [parse(t) for leaves in range(1, 5) for t in _and_or_texts(leaves)]
+    tables = {}  # option set -> the truth table of every formula denoting it
+    for f in formulas:
+        table = truth_mask(f, ("A", "B", "C"))
+        assert tables.setdefault(denote_options(f), table) == table
+    assert (len(formulas), len(tables)) == (3477, 218)
+
+
+@given(_denotable)
+def test_the_option_set_fixes_the_truth_table(f):
+    options = denote_options(f)
+    for v in assignments(sorted(atom_names(f))):
+        assert eval_formula(f, v) == any(all(v[name] for name, _ in p.parts)
+                                         for p in options)

@@ -39,7 +39,6 @@ from coordsem import relevance
 from coordsem.boolean import assignments
 from coordsem.formula import atom_names
 from coordsem.relevance import (
-    FREGE_PREMISE_VARIANTS,
     GRID_DENOMINATOR_LIMIT,
     LikelihoodPair,
     _compositions,
@@ -65,6 +64,16 @@ def test_distribution_validation():
         RationalDist(("B", "A"), (F(1, 4),) * 4)  # unsorted atoms
     with pytest.raises(ValueError):
         RationalDist(("A",), (F(1),))  # wrong arity
+
+
+def test_repeated_atom_names_rejected():
+    # prob would otherwise read one copy of the atom: P(A) = 1/2 here
+    with pytest.raises(ValueError):
+        RationalDist(("A", "A"), (F(1, 4),) * 4)
+    with pytest.raises(ValueError):
+        RationalDist.from_cells(["A", "A"], {(True, True): F(1)})
+    with pytest.raises(ValueError):
+        list(grid(["A", "A"], 1))
 
 
 def test_prob_basics():
@@ -165,25 +174,19 @@ def test_frege_theorem_no_counterexample(den):
     assert result.witness is None
 
 
-def test_frege_checked_counts_both_premise_variants():
-    # at denominator 6 each variant admits the same 15 premise-satisfying
-    # distributions (delta plus alpha entails beta)
-    assert check_frege_theorem(6).checked == 30
+def test_frege_checked_counts_each_point_once():
+    # 15 premise-satisfying distributions at denominator 6, each tested once
+    assert check_frege_theorem(6).checked == 15
 
 
 def test_frege_without_uncertainty_premise_fails():
-    result = check_frege_theorem(6, premise_variants=("none",))
+    result = check_frege_theorem(6, drop_beta=True)
     assert result.status is SearchStatus.COUNTEREXAMPLE
     d = result.witness
     assert prob(d, parse("not (A and not C)")) == 1  # alpha holds
     pa = prob(d, parse("A"))
     assert pa > 0
     assert cond_prob(d, parse("C"), parse("A")) <= prob(d, parse("C"))
-
-
-def test_frege_rejects_unknown_variant():
-    with pytest.raises(ValueError):
-        check_frege_theorem(4, premise_variants=("gamma",))
 
 
 @pytest.mark.parametrize("den", [2, 4, 6, 12])
@@ -209,7 +212,8 @@ def test_explosion_irrelevance_on_grid():
     for d in grid(["A", "B"], 4):
         for b in events:
             assert check_explosion_irrelevance(d, b)
-    assert explosion_on_grid(4) == (True, grid_size(2, 4))
+    assert explosion_on_grid(4) == \
+        SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, grid_size(2, 4))
 
 
 def test_explosion_irrelevance_degenerate_point_mass():
@@ -253,21 +257,21 @@ _GRID_EVENT_TEXTS = ("B", "not B", "A", "A and B", "A or B")
 
 def reference_explosion_on_grid(denominator):
     """The per-point Fraction loop that the integer search replaced: one
-    check per grid point, and points after a violation counted but not
-    checked."""
+    check per grid point."""
     events = [parse(t) for t in _GRID_EVENT_TEXTS]
-    holds, points = True, 0
+    checked = 0
     for d in grid(("A", "B"), denominator):
-        points += 1
-        holds = holds and check_explosion_irrelevance(d, *events)
-    return holds, points
+        checked += 1
+        if not check_explosion_irrelevance(d, *events):
+            return SearchResult(SearchStatus.COUNTEREXAMPLE, d, checked)
+    return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked)
 
 
 @pytest.mark.parametrize("den", range(1, GRID_DENOMINATOR_LIMIT + 1))
 def test_explosion_on_grid_matches_the_reference_loop(den):
     # one test per grid point: every point is checked, none twice
     assert explosion_on_grid(den) == reference_explosion_on_grid(den) == \
-        (True, grid_size(2, den))
+        SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, grid_size(2, den))
 
 
 def test_explosion_on_grid_reads_the_event_masses(monkeypatch):
@@ -275,10 +279,11 @@ def test_explosion_on_grid_reads_the_event_masses(monkeypatch):
     # the first point where A is dependent on one of the events.
     a = parse("A")
     events = [parse(t) for t in _GRID_EVENT_TEXTS]
-    first = next(i for i, d in enumerate(grid(("A", "B"), 4), 1)
-                 if any(prob(d, And(a, e)) != prob(d, a) * prob(d, e) for e in events))
+    first, witness = next(
+        (i, d) for i, d in enumerate(grid(("A", "B"), 4), 1)
+        if any(prob(d, And(a, e)) != prob(d, a) * prob(d, e) for e in events))
     monkeypatch.setattr(relevance, "_CONTRADICTION", a)
-    assert explosion_on_grid(4) == (False, first)
+    assert explosion_on_grid(4) == SearchResult(SearchStatus.COUNTEREXAMPLE, witness, first)
     assert first < grid_size(2, 4)
 
 
@@ -310,17 +315,16 @@ def test_relevance_ordering_denominator_4_is_vacuous():
 
 
 def test_relevance_ordering_nonvacuous_denominators():
-    result6 = check_relevance_ordering(6)
-    assert result6.status is SearchStatus.NO_COUNTEREXAMPLE
-    assert result6.checked == 1
-    result8 = check_relevance_ordering(8)
-    assert result8.status is SearchStatus.NO_COUNTEREXAMPLE
-    assert result8.checked == 9
+    checked = {6: 1, 8: 9, 9: 20, 10: 30, 11: 58, 12: 64}
+    for den, count in checked.items():
+        assert check_relevance_ordering(den) == \
+            SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, count)
 
 
 def test_relevance_ordering_denominator_limit():
+    # the ordering obeys the grid limits every search shares
     with pytest.raises(SizeLimitError):
-        check_relevance_ordering(9)
+        check_relevance_ordering(GRID_DENOMINATOR_LIMIT + 1)
 
 
 def test_conditional_independence_filter_accepts_product_distribution():
@@ -364,7 +368,11 @@ def test_grid_sizes_formula(den):
 _A, _B, _C, _H = (AtomNode(Atom(n)) for n in "ABCH")
 
 
-def reference_frege(denominator, premise_variants=("beta", "delta")):
+def reference_frege(denominator, premise_variants):
+    """Every premise variant is tested at each point it admits:
+        beta:  0 < P(A) < 1 and 0 < P(C) < 1
+        delta: P(A) != 0 and P(C) != 1
+        none:  P(A) > 0 only"""
     implication = Not(And(_A, Not(_C)))
     checked = 0
     for d in grid(("A", "C"), denominator):
@@ -433,15 +441,39 @@ def reference_ordering(denominator):
     return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked), equalities
 
 
-_VARIANT_ORDERS = [order for k in range(1, len(FREGE_PREMISE_VARIANTS) + 1)
-                   for order in permutations(FREGE_PREMISE_VARIANTS, k)]
+@pytest.mark.parametrize("drop_beta", [False, True])
+def test_frege_drop_beta_matches_the_reference_search(drop_beta):
+    variant = "none" if drop_beta else "beta"
+    for den in range(1, GRID_DENOMINATOR_LIMIT + 1):
+        assert check_frege_theorem(den, drop_beta).serialize() == \
+            reference_frege(den, (variant,)).serialize()
+
+
+def test_beta_and_delta_are_equivalent_under_alpha():
+    # alpha makes P(A) <= P(C), so P(A) != 0 and P(C) != 1 put both in (0, 1)
+    implication = Not(And(_A, Not(_C)))
+    for den in range(1, GRID_DENOMINATOR_LIMIT + 1):
+        for d in grid(("A", "C"), den):
+            if prob(d, implication) == 1:
+                pa, pc = prob(d, _A), prob(d, _C)
+                assert (0 < pa < 1 and 0 < pc < 1) == (pa != 0 and pc != 1)
+        assert reference_frege(den, ("beta",)) == reference_frege(den, ("delta",))
+
+
+_VARIANTS = ("beta", "delta", "none")
+_VARIANT_ORDERS = [order for k in range(1, len(_VARIANTS) + 1)
+                   for order in permutations(_VARIANTS, k)]
 
 
 @pytest.mark.parametrize("variants", _VARIANT_ORDERS, ids="-".join)
 def test_frege_matches_the_reference_search(variants):
-    for den in range(1, 13):
-        assert check_frege_theorem(den, variants).serialize() == \
-            reference_frege(den, variants).serialize()
+    # Any set of premise variants finds what drop_beta finds when it holds
+    # "none", the weakest, and what the default finds otherwise; only
+    # `checked`, which counted each admitting variant, differs.
+    for den in range(1, GRID_DENOMINATOR_LIMIT + 1):
+        mine = check_frege_theorem(den, "none" in variants)
+        theirs = reference_frege(den, variants)
+        assert (mine.status, mine.witness) == (theirs.status, theirs.witness)
 
 
 def test_corollary_matches_the_reference_search():
@@ -450,11 +482,11 @@ def test_corollary_matches_the_reference_search():
             reference_corollary(den).serialize()
 
 
-@pytest.mark.parametrize("den", range(1, 9))
+@pytest.mark.parametrize("den", range(1, 10))
 def test_ordering_matches_the_reference_search(den):
     result, equalities = reference_ordering(den)
-    assert check_relevance_ordering(den).serialize() == \
-        {**result.serialize(), "equalities": equalities}
+    assert check_relevance_ordering(den) == result
+    assert equalities == 0  # both inequalities are strict under the premises
 
 
 def reference_compositions(total, parts):
