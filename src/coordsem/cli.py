@@ -26,6 +26,7 @@ from .formula import (
     Formula,
     corpus_lookup,
     length_metric,
+    or_nodes,
     parse,
     unparse,
 )
@@ -177,6 +178,13 @@ def _cmd_implicatures(args: argparse.Namespace) -> dict:
     except ValueError:
         raise WorkbenchError(
             f"--opinionated expects comma-separated or-node ids, got {args.opinionated!r}")
+    if opinionated and mode is not imp.Mode.SOAMES:
+        raise WorkbenchError("--opinionated applies to soames mode only")
+    ids = [node.coeff_id for _, node in or_nodes(f)]
+    unknown = [i for i in opinionated if i not in ids]
+    if unknown:
+        raise WorkbenchError(f"--opinionated names or-node {unknown[0]}, but the or-node ids "
+                             f"of {unparse(f)!r} are {ids or 'none'}")
     rep = imp.project(f, mode, opinionated)
     return {"command": "implicatures", "input": args.item, "formula": unparse(f),
             **rep.serialize()}
@@ -204,6 +212,8 @@ _SEARCHES = {"frege": check_frege_theorem, "corollary": check_disjunction_coroll
 
 def _cmd_prob(args: argparse.Namespace) -> dict:
     den, search = args.denominator, _SEARCHES[args.check]
+    if args.drop_beta and args.check != "frege":
+        raise WorkbenchError(f"--drop-beta applies to frege only, not {args.check}")
     result = search(den, args.drop_beta) if args.check == "frege" else search(den)
     return {"command": "prob", "check": args.check, "denominator": den,
             "result": result.serialize()}
@@ -274,14 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("gazdar", "soames"), default="gazdar")
     p.add_argument("--opinionated", default="",
                    help="comma-separated or-node ids the speaker is opinionated about "
-                        "(soames mode)")
+                        "(soames mode only; exit 2 otherwise or on an id the formula lacks)")
     p.set_defaults(handler=_cmd_implicatures, render=_render_implicatures)
 
     p = sub.add_parser("prob", help="exact-rational relevance checks on probability grids")
     p.add_argument("check", choices=tuple(_SEARCHES))
     p.add_argument("--denominator", type=int, default=6)
     p.add_argument("--drop-beta", action="store_true",
-                   help="frege only: drop the uncertainty premise (expect a counterexample)")
+                   help="frege only: drop the uncertainty premise (expect a counterexample); "
+                        "exit 2 with any other check")
     p.set_defaults(handler=_cmd_prob, render=_render_prob)
 
     p = sub.add_parser("reproduce", help="run every claim check; nonzero exit on mismatch")

@@ -11,11 +11,11 @@ Grammar (lowercase keywords, right-associative binary connectives):
     atom    := NAME (":" ("stative" | "iterable"))?
 
 `and` binds tighter than `or`/`xor`; `not` tighter than `and`. Every Or node
-carries a coefficient id, numbered 0,1,... in textual order of the `or`
-keywords. An atom name has one aspect per formula; unannotated occurrences
-default to stative unless another occurrence declares an aspect. Nesting is
-limited to MAX_DEPTH levels, counting each "(", each "not" and each right
-operand of a binary connective.
+carries a coefficient id, numbered 0,1,... as the parser reads the `or`
+keywords, which is their textual order. An atom name has one aspect per
+formula; unannotated occurrences default to stative unless another
+occurrence declares an aspect. Nesting is limited to MAX_DEPTH levels,
+counting each "(", each "not" and each right operand of a binary connective.
 """
 
 from __future__ import annotations
@@ -75,22 +75,6 @@ class Xor(Record):
 Formula = Union[AtomNode, Not, And, Or, Xor]
 
 _BINARY = (And, Or, Xor)
-
-# precedence levels for minimal-parenthesis printing
-_LEVEL_OR = 1
-_LEVEL_AND = 2
-_LEVEL_NOT = 3
-_LEVEL_ATOM = 4
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, AtomNode):
-        return _LEVEL_ATOM
-    if isinstance(f, Not):
-        return _LEVEL_NOT
-    if isinstance(f, And):
-        return _LEVEL_AND
-    return _LEVEL_OR
 
 
 def subformulas(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
@@ -168,73 +152,54 @@ def _rebuild(f: Formula, leaf: Callable[[AtomNode], Formula],
 # recursive walk over the parse tree stays far from Python's recursion limit.
 MAX_DEPTH = 100
 
-_TOKEN_RE = re.compile(r"(?P<word>[A-Za-z][A-Za-z0-9_]*)|(?P<punct>[():])")
-_KEYWORDS = {"and", "or", "xor", "not"}
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[():]|(\S)")
+_KINDS = {"and", "or", "xor", "not", "(", ")", ":"}
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []  # (kind, value, position)
-        self._scan()
-        self.index = 0
-
-    def _scan(self) -> None:
-        pos = 0
-        text = self.text
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-            if m.group("word"):
-                word = m.group("word")
-                kind = word if word in _KEYWORDS else "name"
-                self.tokens.append((kind, word, pos))
-            else:
-                self.tokens.append((m.group("punct"), m.group("punct"), pos))
-            pos = m.end()
-        self.tokens.append(("end", "end of input", len(text)))
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.index]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.take()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, position) of each token, then an end token. A keyword's
+    or punctuation's kind is its text; any other word is a "name"."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.group(1):
+            raise ParseError(f"unexpected character {m.group(1)!r}", m.start())
+        value = m.group()
+        tokens.append((value if value in _KINDS else "name", value, m.start()))
+    tokens.append(("end", "end of input", len(text)))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.toks = _Tokenizer(text)
+        self.tokens = _tokens(text)
+        self.index = 0  # of the next token
         self.depth = 0
-        # name -> aspect, or None if only defaulted so far
-        self.aspects: dict[str, str | None] = {}
+        self.ors = 0  # `or` tokens read so far: the next Or node's id
+        toks = self.tokens
+        # Every name annotated iterable somewhere; _primary reports conflicts.
+        self.iterable = {name for (kind, name, _), (colon, _, _), (_, aspect, _)
+                         in zip(toks, toks[1:], toks[2:])
+                         if kind == "name" and colon == ":" and aspect == ITERABLE}
+        self.declared: dict[str, str] = {}  # name -> its first annotation
 
     def parse(self) -> Formula:
         f = self._expr()
-        kind, value, pos = self.toks.peek()
+        kind, value, pos = self.tokens[self.index]
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", pos)
-        # Fixes each atom's aspect (placeholders are stative) and numbers the
-        # Or nodes in textual order.
-        iterable = {name: AtomNode(Atom(name, ITERABLE))
-                    for name, aspect in self.aspects.items() if aspect == ITERABLE}
-        return _rebuild(f, lambda node: iterable.get(node.atom.name, node), _SAME)
+        return f
+
+    def _peek(self) -> str:
+        return self.tokens[self.index][0]
+
+    def _take(self) -> tuple[str, str, int]:
+        self.index += 1
+        return self.tokens[self.index - 1]
 
     def _nested(self, parse_part: Callable[[], Formula]) -> Formula:
         if self.depth == MAX_DEPTH:
             raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels",
-                             self.toks.peek()[2])
+                             self.tokens[self.index][2])
         self.depth += 1
         f = parse_part()
         self.depth -= 1
@@ -242,62 +207,59 @@ class _Parser:
 
     def _expr(self) -> Formula:
         left = self._conj()
-        kind, _, _ = self.toks.peek()
+        kind = self._peek()
         if kind == "or":
-            self.toks.take()
-            return Or(left, self._nested(self._expr), -1)  # numbered by parse()
+            self.index += 1
+            cid = self.ors
+            self.ors += 1
+            return Or(left, self._nested(self._expr), cid)
         if kind == "xor":
-            self.toks.take()
+            self.index += 1
             return Xor(left, self._nested(self._expr))
         return left
 
     def _conj(self) -> Formula:
         left = self._unary()
-        if self.toks.peek()[0] == "and":
-            self.toks.take()
+        if self._peek() == "and":
+            self.index += 1
             return And(left, self._nested(self._conj))
         return left
 
     def _unary(self) -> Formula:
-        if self.toks.peek()[0] == "not":
-            self.toks.take()
+        if self._peek() == "not":
+            self.index += 1
             return Not(self._nested(self._unary))
         return self._primary()
 
     def _primary(self) -> Formula:
-        kind, value, pos = self.toks.take()
+        kind, value, pos = self._take()
         if kind == "(":
             inner = self._nested(self._expr)
-            self.toks.expect(")")
+            kind, found, pos = self._take()
+            if kind != ")":
+                raise ParseError(f"expected ')', found {found!r}", pos)
             return inner
         if kind == "name":
-            aspect = None
-            if self.toks.peek()[0] == ":":
-                self.toks.take()
-                _, aval, apos = self.toks.take()
-                if aval not in ASPECTS:
-                    raise ParseError(f"expected aspect {ASPECTS}, found {aval!r}", apos)
-                aspect = aval
-            self._record_aspect(value, aspect, pos)
-            # aspect fixed after the whole parse; placeholder stative for now
-            return AtomNode(Atom(value))
+            if self._peek() == ":":
+                self.index += 1
+                _, aspect, apos = self._take()
+                if aspect not in ASPECTS:
+                    raise ParseError(f"expected aspect {ASPECTS}, found {aspect!r}", apos)
+                first = self.declared.setdefault(value, aspect)
+                if first != aspect:
+                    raise ParseError(
+                        f"conflicting aspect for atom {value!r}: {first} vs {aspect}", pos)
+            return AtomNode(Atom(value, ITERABLE if value in self.iterable else STATIVE))
         raise ParseError(f"expected a formula, found {value!r}", pos)
-
-    def _record_aspect(self, name: str, aspect: str | None, pos: int) -> None:
-        prev = self.aspects.get(name)
-        if prev is None:
-            self.aspects[name] = aspect
-        elif aspect is not None and prev != aspect:
-            raise ParseError(
-                f"conflicting aspect for atom {name!r}: {prev} vs {aspect}", pos)
 
 
 def parse(text: str) -> Formula:
     """Parse formula text into an AST.
 
-    Or nodes receive coefficient ids 0,1,... in textual order. Raises
-    ParseError with a character position on malformed input or on
-    conflicting aspect annotations for one atom name.
+    Or nodes receive coefficient ids 0,1,... as their `or` keywords are
+    read, that is in textual order. Raises ParseError with a character
+    position on malformed input or on conflicting aspect annotations for
+    one atom name.
     """
     return _Parser(text).parse()
 
@@ -305,12 +267,9 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing and the length metric
 
-def _word(f: Formula) -> str:
-    if isinstance(f, And):
-        return "and"
-    if isinstance(f, Or):
-        return "or"
-    return "xor"
+# precedence for minimal-parenthesis printing, and each connective's word
+_LEVEL = {Or: 1, Xor: 1, And: 2, Not: 3, AtomNode: 4}
+_WORD = {And: "and", Or: "or", Xor: "xor"}
 
 
 def unparse(f: Formula) -> str:
@@ -319,22 +278,23 @@ def unparse(f: Formula) -> str:
     Iterable atoms print with their annotation so the text reparses to the
     same formula; statives print bare (the default)."""
     def go(node: Formula) -> str:
-        if isinstance(node, AtomNode):
+        kind = type(node)
+        if kind is AtomNode:
             a = node.atom
             return a.name if a.aspect == STATIVE else f"{a.name}:{a.aspect}"
-        if isinstance(node, Not):
+        if kind is Not:
             inner = go(node.child)
-            if _level(node.child) < _LEVEL_NOT:
+            if _LEVEL[type(node.child)] < _LEVEL[Not]:
                 inner = f"({inner})"
             return f"not {inner}"
-        lvl = _level(node)
+        lvl = _LEVEL[kind]
         left = go(node.left)
-        if _level(node.left) <= lvl:  # equal level on the left breaks right-assoc
+        if _LEVEL[type(node.left)] <= lvl:  # equal level on the left breaks right-assoc
             left = f"({left})"
         right = go(node.right)
-        if _level(node.right) < lvl:
+        if _LEVEL[type(node.right)] < lvl:
             right = f"({right})"
-        return f"{left} {_word(node)} {right}"
+        return f"{left} {_WORD[kind]} {right}"
     return go(f)
 
 

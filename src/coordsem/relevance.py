@@ -159,14 +159,14 @@ class SearchResult(Record):
 
 
 def _search(atoms: Sequence[str], denominator: int, events: Mapping[str, Formula],
-            tests: Callable[[Callable[[str], int]], Sequence[bool]]) -> SearchResult:
+            tests: Callable[[Callable[[str], int]], Optional[bool]]) -> SearchResult:
     """The integer loop of the grid searches. It walks the cell counts of
     `grid(atoms, denominator)` in the same order. At each point it calls
     `tests(mass)`, where `mass(name)` is the mass of the named event times
     the denominator: the sum of the counts of the event's cells. `tests`
-    returns, for each premise-satisfying test at the point, whether its
-    conclusion holds; the first that does not ends the search with the point
-    as the witness.
+    returns None where the premises fail, and otherwise whether the
+    conclusion holds; `checked` counts the points that are not None, and the
+    first False ends the search with the point as the witness.
 
     A sum is taken only when `mass` is called, so `tests` checks its
     premises cheapest first and reads an event only at a point that passed
@@ -193,11 +193,13 @@ def _search(atoms: Sequence[str], denominator: int, events: Mapping[str, Formula
 
     checked = 0
     for counts in _compositions(denominator, n_cells):
-        for holds in tests(mass):
-            checked += 1
-            if not holds:
-                return SearchResult(SearchStatus.COUNTEREXAMPLE,
-                                    _dist(ordered, counts, denominator), checked)
+        holds = tests(mass)
+        if holds is None:
+            continue
+        checked += 1
+        if not holds:
+            return SearchResult(SearchStatus.COUNTEREXAMPLE,
+                                _dist(ordered, counts, denominator), checked)
     return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked)
 
 
@@ -221,14 +223,14 @@ def check_frege_theorem(denominator: int, drop_beta: bool = False) -> SearchResu
     that satisfy the premises."""
     den = denominator
 
-    def tests(mass: Callable[[str], int]) -> tuple[bool, ...]:
+    def tests(mass: Callable[[str], int]) -> Optional[bool]:
         if mass("implication") != den:  # alpha
-            return ()
+            return None
         a, c = mass("a"), mass("c")
         if not (a != 0 if drop_beta else (0 < a < den and 0 < c < den)):
-            return ()
+            return None
         # P(C|A) > P(C), that is ac / a > c / den, with a > 0
-        return (mass("ac") * den > c * a,)
+        return mass("ac") * den > c * a
 
     return _search(("A", "C"), den,
                    {"implication": Not(And(_A, Not(_C))), "a": _A, "c": _C,
@@ -242,16 +244,16 @@ def check_disjunction_corollary(denominator: int) -> SearchResult:
     negative relevance is extreme: P(B|A) = 0."""
     den = denominator
 
-    def tests(mass: Callable[[str], int]) -> tuple[bool, ...]:
+    def tests(mass: Callable[[str], int]) -> Optional[bool]:
         if mass("disjunction") != den:
-            return ()
+            return None
         a, b = mass("a"), mass("b")
         if not (0 < a < den and 0 < b < den):
-            return ()
+            return None
         # P(B|A) < P(B) and P(A|B) < P(A) both read both * den < a * b.
         # P(B|A) = both / a is zero exactly when P(A and B) is, so the
         # extreme case needs no test of its own.
-        return (mass("both") * den < a * b,)
+        return mass("both") * den < a * b
 
     return _search(("A", "B"), den, {"disjunction": Or(_A, _B, 0), "a": _A, "b": _B,
                                      "both": And(_A, _B)}, tests)
@@ -292,9 +294,9 @@ def explosion_on_grid(denominator: int) -> SearchResult:
         events[f"e{i}"], events[f"both{i}"] = e, And(_CONTRADICTION, e)
         pairs.append((f"both{i}", f"e{i}"))
 
-    def tests(mass: Callable[[str], int]) -> tuple[bool]:
+    def tests(mass: Callable[[str], int]) -> bool:
         c = mass("contradiction")
-        return (all(mass(both) * den == c * mass(e) for both, e in pairs),)
+        return all(mass(both) * den == c * mass(e) for both, e in pairs)
 
     return _search(("A", "B"), den, events, tests)
 
@@ -362,29 +364,29 @@ def check_relevance_ordering(denominator: int) -> SearchResult:
         for name, e in (("a", _A), ("b", _B), ("ab", conj), ("or", disj)):
             events[name + suffix] = And(e, side)
 
-    def tests(mass: Callable[[str], int]) -> tuple[bool, ...]:
+    def tests(mass: Callable[[str], int]) -> Optional[bool]:
         h = mass("h")
         if not 0 < h < den:
-            return ()
+            return None
         nh = den - h
         # conditional independence given H, then given not-H
         a_h, b_h, ab_h = mass("a_h"), mass("b_h"), mass("ab_h")
         if ab_h * h != a_h * b_h:
-            return ()
+            return None
         a_nh, b_nh, ab_nh = mass("a_nh"), mass("b_nh"), mass("ab_nh")
         if ab_nh * nh != a_nh * b_nh:
-            return ()
+            return None
         # positive relevance of A and of B: P(e|H) > P(e|not H)
         if a_h * nh <= a_nh * h or b_h * nh <= b_nh * h:
-            return ()
+            return None
         # P(A and B) > 0 and P(H | A and B) < 1: some of A and B lies in not-H
         if ab_nh == 0:
-            return ()
+            return None
         # The likelihood pair of e is (e_h / h, e_nh / nh). Comparing two
         # pairs by cross-multiplication, the positive h * nh cancels, so the
         # pair of counts (e_h, e_nh) compares the same way.
         s_h, s_nh = (b_h, b_nh) if a_h * b_nh < b_h * a_nh else (a_h, a_nh)
         return (mass("or_h") * s_nh < s_h * mass("or_nh")  # llr(A or B) < strongest
-                and s_h * ab_nh < ab_h * s_nh,)  # strongest < llr(A and B)
+                and s_h * ab_nh < ab_h * s_nh)  # strongest < llr(A and B)
 
     return _search(("A", "B", "H"), den, events, tests)

@@ -187,6 +187,30 @@ def test_prob_searches_share_one_result_and_one_limit(capsys, check):
     assert "denominator must be in 1..12, got 13" in err
 
 
+@pytest.mark.parametrize("check", ["corollary", "explosion", "ordering"])
+def test_drop_beta_is_refused_outside_frege(capsys, check):
+    code, out, err = run(capsys, "prob", check, "--denominator", "4", "--drop-beta")
+    assert (code, out) == (2, "")
+    assert f"--drop-beta applies to frege only, not {check}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["A or B", "--opinionated", "0"], "--opinionated applies to soames mode only"),
+    (["A or B", "--mode", "gazdar", "--opinionated", "0"],
+     "--opinionated applies to soames mode only"),
+    (["A or B", "--mode", "soames", "--opinionated", "5"],
+     "--opinionated names or-node 5, but the or-node ids of 'A or B' are [0]"),
+    (["A or B or C", "--mode", "soames", "--opinionated", "1,-1"],
+     "--opinionated names or-node -1, but the or-node ids of 'A or B or C' are [0, 1]"),
+    (["A and B", "--mode", "soames", "--opinionated", "0"],
+     "--opinionated names or-node 0, but the or-node ids of 'A and B' are none"),
+], ids=["default mode", "gazdar", "unknown id", "negative id", "no or-node"])
+def test_opinionated_is_refused_outside_soames_or_on_unknown_ids(capsys, argv, message):
+    code, out, err = run(capsys, "implicatures", *argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_reproduce_matches(capsys):
     code, out, _ = run(capsys, "reproduce")
     assert code == 0

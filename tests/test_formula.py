@@ -105,6 +105,18 @@ def test_parse_errors_carry_position():
         parse("A:stale")
 
 
+@pytest.mark.parametrize("text, message", [
+    # the aspect scan never raises: the ')' is reported before the conflict
+    ("A:stative ) A:iterable", "unexpected ')' (at position 10)"),
+    ("A:foo", "expected aspect ('stative', 'iterable'), found 'foo' (at position 2)"),
+    ("not " * 101 + "A", "formula nests deeper than 100 levels (at position 404)"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("text, position", [("A:", 2), ("A and", 5), ("(A", 2), ("", 0)])
 def test_parse_errors_at_the_end_name_the_end_of_input(text, position):
     with pytest.raises(ParseError) as err:
@@ -252,22 +264,40 @@ def test_law_schema_equality_ignores_name():
 # ---------------------------------------------------------------------------
 # Properties
 
-_leaf = st.builds(lambda n: AtomNode(Atom(n)), st.sampled_from(["A", "B", "C", "D"]))
-_tree = st.recursive(
-    _leaf,
-    lambda kids: st.one_of(
-        st.builds(And, kids, kids),
-        st.builds(lambda l, r: Or(l, r, 0), kids, kids),
-        st.builds(Xor, kids, kids),
-        st.builds(Not, kids),
-    ),
-    max_leaves=10,
-).map(renumber_coefficients)
+def _trees(aspects):
+    """Formulas over the names of `aspects`, each atom with its name's aspect."""
+    return st.recursive(
+        st.builds(lambda n: AtomNode(Atom(n, aspects[n])), st.sampled_from(sorted(aspects))),
+        lambda kids: st.one_of(
+            st.builds(And, kids, kids),
+            st.builds(lambda l, r: Or(l, r, 0), kids, kids),
+            st.builds(Xor, kids, kids),
+            st.builds(Not, kids),
+        ),
+        max_leaves=10,
+    ).map(renumber_coefficients)
+
+
+_tree = _trees(dict.fromkeys("ABCD", "stative"))
 
 
 @given(_tree)
 def test_parse_unparse_round_trip(f):
     assert parse(unparse(f)) == f
+
+
+@given(_trees({"A": "iterable", "B": "iterable", "C": "stative", "D": "iterable"}),
+       st.randoms(use_true_random=False))
+def test_one_annotation_per_name_fixes_every_occurrence(f, rng):
+    # strip `:iterable` from all but one occurrence of each iterable name
+    annotated = re.compile(r"(\w+):iterable")
+    text = unparse(f)
+    starts: dict[str, list[int]] = {}
+    for m in annotated.finditer(text):
+        starts.setdefault(m.group(1), []).append(m.start())
+    keep = {rng.choice(found) for found in starts.values()}
+    stripped = annotated.sub(lambda m: m.group() if m.start() in keep else m.group(1), text)
+    assert parse(stripped) == f
 
 
 @given(_tree)
