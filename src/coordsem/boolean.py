@@ -159,13 +159,16 @@ def dual(schema: LawSchema) -> LawSchema:
 
 def _odd_worlds(n: int) -> int:
     """The worlds over n names with an odd number of true atoms, as a mask in
-    the world order. World i makes name j true iff bit n-1-j of i is clear,
-    so it has n - i.bit_count() true atoms. Read off the world indices alone,
-    with neither the atom masks nor `truth_mask`."""
-    # Bit i of the mask is world i, so the binary numeral lists the worlds
-    # from the last to the first.
-    return int("".join(["1" if (n - i.bit_count()) & 1 else "0"
-                        for i in reversed(range(1 << n))]), 2)
+    the world order, built by Thue-Morse doubling from the world indices
+    alone, with neither the atom masks nor `truth_mask`. World 0 makes all n
+    names true. For i < 2^k < 2^n, worlds i and i + 2^k differ in the one
+    name that bit k of the index decides, so their parities differ: the
+    first 2^(k+1) worlds are the first 2^k followed by their complement."""
+    mask, width = n & 1, 1
+    for _ in range(n):
+        mask |= (mask ^ ((1 << width) - 1)) << width
+        width <<= 1
+    return mask
 
 
 def xor_parity(n: int) -> bool:
@@ -173,7 +176,7 @@ def xor_parity(n: int) -> bool:
     true exactly on the assignments with an odd number of true atoms.
 
     The chain's side is its `truth_mask`. The reference side, `_odd_worlds`,
-    counts each world's true atoms from the clear bits of its index, so it
+    doubles the parity mask of world 0 n times, flipping each copy, so it
     shares no step with the kernel, which XORs the atom masks."""
     if not 1 <= n <= ATOM_LIMIT:
         raise AtomLimitError(f"n must be in 1..{ATOM_LIMIT}, got {n}")

@@ -11,7 +11,6 @@ dumps the payload as JSON to a file, before anything is printed. Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import combinations
 from typing import Optional, Sequence
@@ -301,6 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json(payload: dict) -> str:
+    """The payload as JSON, the form of --format json and of --out. `json`
+    is imported here, so a cold start that renders text never loads it."""
+    import json
+
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -312,13 +319,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(_json(payload))
         except OSError as err:
             print(f"error: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
             return 2
     if args.format == "json":
-        out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        out = _json(payload)
     else:
         out = args.render(payload)
     sys.stdout.write(out)

@@ -14,6 +14,11 @@ grid's common denominator: an event's mass is a sum of counts over its
 cells, taken only when a premise or conclusion reads it, and every premise
 and conclusion is an integer comparison by cross-multiplication. A
 distribution of Fraction masses is built only for a witness.
+
+Frege, the corollary and explosion walk the whole grid. The ordering walks
+only the points that meet its premises, built by construction from the two
+halves of the grid, given H and given not-H, in grid order; its `checked`
+counts the same points that a filter over the whole grid would keep.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ._record import Record
 from .boolean import assignments, truth_mask
@@ -159,9 +164,13 @@ class SearchResult(Record):
 
 
 def _search(atoms: Sequence[str], denominator: int, events: Mapping[str, Formula],
-            tests: Callable[[Callable[[str], int]], Optional[bool]]) -> SearchResult:
+            tests: Callable[[Callable[[str], int]], Optional[bool]],
+            points: Optional[Callable[[int], Iterable[tuple[int, ...]]]] = None
+            ) -> SearchResult:
     """The integer loop of the grid searches. It walks the cell counts of
-    `grid(atoms, denominator)` in the same order. At each point it calls
+    `grid(atoms, denominator)` in the same order, or, given `points`, the
+    counts `points(denominator)` yields once the grid limits are checked:
+    a subsequence of the grid in grid order. At each point it calls
     `tests(mass)`, where `mass(name)` is the mass of the named event times
     the denominator: the sum of the counts of the event's cells. `tests`
     returns None where the premises fail, and otherwise whether the
@@ -172,9 +181,9 @@ def _search(atoms: Sequence[str], denominator: int, events: Mapping[str, Formula
     premises cheapest first and reads an event only at a point that passed
     every premise before the first one that needs it: alpha, then the
     marginals, then A and C for Frege; the disjunction, then the marginals,
-    then A and B for the corollary; for the ordering, 0 < P(H) < 1, then
-    independence given H, then given not-H, then relevance, with the
-    disjunction's masses read only for the conclusion."""
+    then A and B for the corollary. The ordering's premises are met by
+    construction (`_ordering_points`), so its `tests` reads only the
+    conclusion and every point it is given is checked."""
     ordered = _grid_atoms(atoms, denominator)
     n_cells = 2 ** len(ordered)
     cells = {}
@@ -192,7 +201,8 @@ def _search(atoms: Sequence[str], denominator: int, events: Mapping[str, Formula
         return total
 
     checked = 0
-    for counts in _compositions(denominator, n_cells):
+    walk = _compositions(denominator, n_cells) if points is None else points(denominator)
+    for counts in walk:
         holds = tests(mass)
         if holds is None:
             continue
@@ -356,37 +366,56 @@ def check_relevance_ordering(denominator: int) -> SearchResult:
     b(1-a) / (b'(1-a')), whose denominators are positive (a' < 1); the second
     ratio is (b/b')((1-a)/(1-a')) < b/b' <= a/a', because 1-a < 1-a', so the
     mediant is below a/a'. Hence no grid point meets either inequality with
-    equality."""
-    den = denominator
+    equality.
+
+    The search walks `_ordering_points(denominator)`, which meet every
+    premise by construction, so `checked` counts them all."""
     conj, disj, not_h = And(_A, _B), Or(_A, _B, 0), Not(_H)
-    events = {"h": _H}
+    events: dict[str, Formula] = {}
     for side, suffix in ((_H, "_h"), (not_h, "_nh")):
         for name, e in (("a", _A), ("b", _B), ("ab", conj), ("or", disj)):
             events[name + suffix] = And(e, side)
 
-    def tests(mass: Callable[[str], int]) -> Optional[bool]:
-        h = mass("h")
-        if not 0 < h < den:
-            return None
-        nh = den - h
-        # conditional independence given H, then given not-H
-        a_h, b_h, ab_h = mass("a_h"), mass("b_h"), mass("ab_h")
-        if ab_h * h != a_h * b_h:
-            return None
-        a_nh, b_nh, ab_nh = mass("a_nh"), mass("b_nh"), mass("ab_nh")
-        if ab_nh * nh != a_nh * b_nh:
-            return None
-        # positive relevance of A and of B: P(e|H) > P(e|not H)
-        if a_h * nh <= a_nh * h or b_h * nh <= b_nh * h:
-            return None
-        # P(A and B) > 0 and P(H | A and B) < 1: some of A and B lies in not-H
-        if ab_nh == 0:
-            return None
+    def tests(mass: Callable[[str], int]) -> bool:
         # The likelihood pair of e is (e_h / h, e_nh / nh). Comparing two
         # pairs by cross-multiplication, the positive h * nh cancels, so the
         # pair of counts (e_h, e_nh) compares the same way.
+        a_h, a_nh, b_h, b_nh = mass("a_h"), mass("a_nh"), mass("b_h"), mass("b_nh")
         s_h, s_nh = (b_h, b_nh) if a_h * b_nh < b_h * a_nh else (a_h, a_nh)
         return (mass("or_h") * s_nh < s_h * mass("or_nh")  # llr(A or B) < strongest
-                and s_h * ab_nh < ab_h * s_nh)  # strongest < llr(A and B)
+                and s_h * mass("ab_nh") < mass("ab_h") * s_nh)  # strongest < llr(A and B)
 
-    return _search(("A", "B", "H"), den, events, tests)
+    return _search(("A", "B", "H"), denominator, events, tests, _ordering_points)
+
+
+def _independent_halves(total: int) -> list[tuple[int, ...]]:
+    """The 2x2 tables (n_AB, n_A-notB, n_notA-B, n_notA-notB) of `total`
+    counts, in descending lexicographic order, in which A and B are
+    independent. With a = n_AB + n_A-notB and b = n_AB + n_notA-B,
+    independence n_AB * total == a * b expands to
+    n_AB * n_notA-notB == n_A-notB * n_notA-B."""
+    return [t for t in _compositions(total, 4) if t[0] * t[3] == t[1] * t[2]]
+
+
+def _ordering_points(denominator: int) -> list[tuple[int, ...]]:
+    """The points of the grid over (A, B, H) that meet the premises of
+    `check_relevance_ordering`, in grid order. World i makes H true exactly
+    when i is even, so a point interleaves its H half, the table of
+    `_independent_halves(h)`, with its not-H half, a table of
+    `_independent_halves(den - h)`, for 0 < h < den. A pair of halves is
+    kept when A and B are each positively relevant to H,
+    a_h / h > a_nh / nh, and some of A and B lies in not-H, n_AB-notH > 0.
+    Sorting the points in descending lexicographic order puts them in the
+    order of `_compositions`."""
+    den = denominator
+    halves = [_independent_halves(total) for total in range(den)]
+    points = []
+    for h in range(1, den):
+        nh = den - h
+        for x, y, z, w in halves[h]:
+            a_h, b_h = x + y, x + z
+            for xn, yn, zn, wn in halves[nh]:
+                if xn and a_h * nh > (xn + yn) * h and b_h * nh > (xn + zn) * h:
+                    points.append((x, xn, y, yn, z, zn, w, wn))
+    points.sort(reverse=True)
+    return points

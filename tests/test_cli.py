@@ -87,6 +87,11 @@ def test_judge_json_and_text_carry_the_same_payload(capsys, tmp_path):
     assert code == 0
     assert json.loads(out_file.read_text()) == json.loads(json_out)
     assert text_out  # text mode rendered the same payload
+    both_file = tmp_path / "both.json"
+    code, both_out, _ = run(capsys, "--format", "json", "--out", str(both_file),
+                            "judge", "5a", "5b")
+    assert code == 0
+    assert both_file.read_text() == both_out == json_out  # the same bytes on both paths
 
 
 def test_equiv(capsys):

@@ -1,10 +1,13 @@
 """No module of the package, its tests or its demos imports a name it never
 uses. A stdlib `ast` scan stands in for a linter, so the check needs no
-extra dependency."""
+extra dependency. A cold import of the command line loads no heavy module."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,13 @@ def test_the_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cold_cli_import_stays_light():
+    # A fresh interpreter, so that no other test's imports are counted.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = ("import sys\nimport coordsem.cli\n"
+             "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"

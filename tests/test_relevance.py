@@ -36,13 +36,15 @@ from coordsem import (
     prob,
 )
 from coordsem import relevance
-from coordsem.boolean import assignments
+from coordsem.boolean import assignments, truth_mask
 from coordsem.formula import atom_names
 from coordsem.relevance import (
     GRID_DENOMINATOR_LIMIT,
     LikelihoodPair,
     _compositions,
     _dist,
+    _ordering_points,
+    _search,
     grid_size,
 )
 
@@ -323,8 +325,17 @@ def test_relevance_ordering_nonvacuous_denominators():
 
 def test_relevance_ordering_denominator_limit():
     # the ordering obeys the grid limits every search shares
-    with pytest.raises(SizeLimitError):
-        check_relevance_ordering(GRID_DENOMINATOR_LIMIT + 1)
+    for den in (0, GRID_DENOMINATOR_LIMIT + 1):
+        with pytest.raises(SizeLimitError):
+            check_relevance_ordering(den)
+
+
+def test_search_checks_the_grid_limits_before_building_points():
+    built = []
+    for den in (0, GRID_DENOMINATOR_LIMIT + 1):
+        with pytest.raises(SizeLimitError):
+            _search(("A",), den, {}, lambda mass: True, built.append)
+    assert built == []
 
 
 def test_conditional_independence_filter_accepts_product_distribution():
@@ -487,6 +498,56 @@ def test_ordering_matches_the_reference_search(den):
     result, equalities = reference_ordering(den)
     assert check_relevance_ordering(den) == result
     assert equalities == 0  # both inequalities are strict under the premises
+
+
+def reference_ordering_walk(denominator):
+    """The integer search the ordering ran before its points were built by
+    construction: every point of the joint grid over (A, B, H), with the
+    premises in their old order (0 < h < den, independence given H, then
+    given not-H, relevance of A and of B, n_AB-notH > 0) and the
+    conclusion at each point that passes them. Returns the search result
+    and those points."""
+    den = denominator
+    atoms = ("A", "B", "H")
+    conj, disj, not_h = And(_A, _B), Or(_A, _B, 0), Not(_H)
+    events = {"h": _H}
+    for side, suffix in ((_H, "_h"), (not_h, "_nh")):
+        for name, e in (("a", _A), ("b", _B), ("ab", conj), ("or", disj)):
+            events[name + suffix] = And(e, side)
+    cells = {name: [i for i in range(8) if truth_mask(e, atoms) >> i & 1]
+             for name, e in events.items()}
+    passed = []
+    for counts in _compositions(den, 8):
+        def mass(name):
+            return sum(counts[i] for i in cells[name])
+
+        h = mass("h")
+        if not 0 < h < den:
+            continue
+        nh = den - h
+        a_h, b_h, ab_h = mass("a_h"), mass("b_h"), mass("ab_h")
+        if ab_h * h != a_h * b_h:
+            continue
+        a_nh, b_nh, ab_nh = mass("a_nh"), mass("b_nh"), mass("ab_nh")
+        if ab_nh * nh != a_nh * b_nh:
+            continue
+        if a_h * nh <= a_nh * h or b_h * nh <= b_nh * h:
+            continue
+        if ab_nh == 0:
+            continue
+        passed.append(counts)
+        s_h, s_nh = (b_h, b_nh) if a_h * b_nh < b_h * a_nh else (a_h, a_nh)
+        if not (mass("or_h") * s_nh < s_h * mass("or_nh") and s_h * ab_nh < ab_h * s_nh):
+            return SearchResult(SearchStatus.COUNTEREXAMPLE, _dist(atoms, counts, den),
+                                len(passed)), passed
+    return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, len(passed)), passed
+
+
+@pytest.mark.parametrize("den", range(1, GRID_DENOMINATOR_LIMIT + 1))
+def test_ordering_points_are_the_joint_grid_points_that_pass_the_premises(den):
+    result, passed = reference_ordering_walk(den)
+    assert check_relevance_ordering(den) == result
+    assert _ordering_points(den) == passed  # the same points, in grid order
 
 
 def reference_compositions(total, parts):
