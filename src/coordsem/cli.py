@@ -179,11 +179,11 @@ def _cmd_implicatures(args: argparse.Namespace) -> dict:
             f"--opinionated expects comma-separated or-node ids, got {args.opinionated!r}")
     if opinionated and mode is not imp.Mode.SOAMES:
         raise WorkbenchError("--opinionated applies to soames mode only")
-    ids = [node.coeff_id for _, node in or_nodes(f)]
+    ids = range(len(or_nodes(f)))
     unknown = [i for i in opinionated if i not in ids]
     if unknown:
         raise WorkbenchError(f"--opinionated names or-node {unknown[0]}, but the or-node ids "
-                             f"of {unparse(f)!r} are {ids or 'none'}")
+                             f"of {unparse(f)!r} are {list(ids) or 'none'}")
     rep = imp.project(f, mode, opinionated)
     return {"command": "implicatures", "input": args.item, "formula": unparse(f),
             **rep.serialize()}

@@ -10,10 +10,11 @@ Grammar (lowercase keywords, right-associative binary connectives):
     primary := atom | "(" expr ")"
     atom    := NAME (":" ("stative" | "iterable"))?
 
-`and` binds tighter than `or`/`xor`; `not` tighter than `and`. Every Or node
-carries a coefficient id, numbered 0,1,... as the parser reads the `or`
-keywords, which is their textual order. An atom name has one aspect per
-formula; unannotated occurrences default to stative unless another
+`and` binds tighter than `or`/`xor`; `not` tighter than `and`. An Or node is
+numbered by its position: or-node i is the i-th `or` keyword of the text, so
+the numbering is in-order (a node comes after its left subtree). `or_nodes`
+defines it for every tree, parsed or built by hand. An atom name has one
+aspect per formula; unannotated occurrences default to stative unless another
 occurrence declares an aspect. Nesting is limited to MAX_DEPTH levels,
 counting each "(", each "not" and each right operand of a binary connective.
 """
@@ -64,7 +65,6 @@ class And(Record):
 class Or(Record):
     left: "Formula"
     right: "Formula"
-    coeff_id: int
 
 
 class Xor(Record):
@@ -110,37 +110,26 @@ def atom_names(f: Formula) -> list[str]:
 
 
 def or_nodes(f: Formula) -> list[tuple[tuple[int, ...], Or]]:
-    """All Or nodes with their paths, ordered by coefficient id."""
+    """All Or nodes with their paths, in the order of their numbers: or-node
+    i is the i-th `or` keyword of `unparse(f)`. That order is in-order, so
+    the sort key puts a node after its left subtree (child index 0 -> 0) and
+    before its right one (1 -> 2)."""
     nodes = [(p, n) for p, n in subformulas(f) if isinstance(n, Or)]
-    nodes.sort(key=lambda pn: pn[1].coeff_id)
+    nodes.sort(key=lambda pn: [2 * i for i in pn[0]] + [1])
     return nodes
-
-
-_SAME = {And: And, Or: Or, Xor: Xor}
 
 
 def _rebuild(f: Formula, leaf: Callable[[AtomNode], Formula],
              connective: Mapping[type, type]) -> Formula:
     """Rebuild f bottom-up: atom nodes through `leaf`, binary nodes as
-    `connective[type(node)]`, negation as is. The Or nodes built here are
-    numbered 0,1,... in textual (in-order) order; those `leaf` returns keep
-    their ids."""
-    counter = 0
-
+    `connective[type(node)]`, negation as is."""
     def go(node: Formula) -> Formula:
-        nonlocal counter
         kind = type(node)
         if kind is AtomNode:
             return leaf(node)
         if kind is Not:
             return Not(go(node.child))
-        left = go(node.left)
-        make = connective[kind]
-        if make is Or:
-            cid = counter
-            counter += 1
-            return Or(left, go(node.right), cid)
-        return make(left, go(node.right))
+        return connective[kind](go(node.left), go(node.right))
 
     return go(f)
 
@@ -174,7 +163,6 @@ class _Parser:
         self.tokens = _tokens(text)
         self.index = 0  # of the next token
         self.depth = 0
-        self.ors = 0  # `or` tokens read so far: the next Or node's id
         toks = self.tokens
         # Every name annotated iterable somewhere; _primary reports conflicts.
         self.iterable = {name for (kind, name, _), (colon, _, _), (_, aspect, _)
@@ -210,9 +198,7 @@ class _Parser:
         kind = self._peek()
         if kind == "or":
             self.index += 1
-            cid = self.ors
-            self.ors += 1
-            return Or(left, self._nested(self._expr), cid)
+            return Or(left, self._nested(self._expr))
         if kind == "xor":
             self.index += 1
             return Xor(left, self._nested(self._expr))
@@ -256,10 +242,8 @@ class _Parser:
 def parse(text: str) -> Formula:
     """Parse formula text into an AST.
 
-    Or nodes receive coefficient ids 0,1,... as their `or` keywords are
-    read, that is in textual order. Raises ParseError with a character
-    position on malformed input or on conflicting aspect annotations for
-    one atom name.
+    Raises ParseError with a character position on malformed input or on
+    conflicting aspect annotations for one atom name.
     """
     return _Parser(text).parse()
 
@@ -394,8 +378,8 @@ class LawSchema(Record, uncompared=("name",)):
 
 def instantiate(schema: LawSchema, binding: Mapping[str, Formula]) -> tuple[Formula, Formula]:
     """Substitute formulas for metavariables and concrete connectives for
-    meet/join; Or coefficients are renumbered 0,1,... left-to-right across
-    each resulting formula, inside the substituted formulas too."""
+    meet/join. Like any formula's, each result's or-nodes are numbered by
+    position, those inside the substituted formulas too."""
     table = dict(schema.connective_map)
     connective = {kind: _CONNECTIVE[table[role]] for kind, role in _ROLE.items()
                   if role in table}
@@ -407,14 +391,7 @@ def instantiate(schema: LawSchema, binding: Mapping[str, Formula]) -> tuple[Form
             raise UnboundMetavariableError(
                 f"{schema.name}: no binding for metavariable {node.atom.name!r}") from None
 
-    lhs, rhs = (_rebuild(t, bind, connective) for t in (schema.lhs, schema.rhs))
-    return renumber_coefficients(lhs), renumber_coefficients(rhs)
-
-
-def renumber_coefficients(f: Formula) -> Formula:
-    """Fresh coefficient ids 0,1,... assigned to Or nodes in textual order
-    (in-order traversal, which follows the `or` keyword positions)."""
-    return _rebuild(f, lambda node: node, _SAME)
+    return _rebuild(schema.lhs, bind, connective), _rebuild(schema.rhs, bind, connective)
 
 
 DIS1 = LawSchema("Dis.1", parse("X and (Y or Z)"), parse("(X and Y) or (X and Z)"))

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 from ._record import Record
 from .boolean import ATOM_LIMIT, truth_mask, world
 from .errors import WorkbenchError
-from .formula import And, Formula, Not, Or, atom_names, subformulas, unparse
+from .formula import And, Formula, Not, Or, atom_names, or_nodes, subformulas, unparse
 
 EPISTEMIC_ATOM_LIMIT = ATOM_LIMIT  # read by benchmarks/; ROADMAP item 1 drops it
 
@@ -110,14 +110,16 @@ def potential_scalar(
     """Exclusivity constraints per or-node over disjuncts psi, chi. The weak
     form notK(psi and chi) is always emitted; the strong form
     K(not (psi and chi)) by default in gazdar mode, and in soames mode only
-    for or-nodes (by coeff_id) listed as opinionated. Each entry has its own
-    node's path, and a node's two entries differ in polarity, so none repeat."""
+    for or-nodes listed as opinionated by number (see `formula.or_nodes`).
+    Each entry has its own node's path, and a node's two entries differ in
+    polarity, so none repeat."""
+    strong = {path for n, (path, _) in enumerate(or_nodes(f)) if n in opinionated}
     out = []
     for path, node in _ordered_or_paths(f):
         both = And(node.left, node.right)
         out.append(EpistemicConstraint(
             Polarity.NOT_K, both, Provenance.SCALAR_WEAK, path))
-        if mode is Mode.GAZDAR or node.coeff_id in opinionated:
+        if mode is Mode.GAZDAR or path in strong:
             out.append(EpistemicConstraint(
                 Polarity.K, Not(both), Provenance.SCALAR_STRONG, path))
     return out

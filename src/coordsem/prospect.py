@@ -21,7 +21,7 @@ UnsupportedConnectiveError.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import product
+from itertools import count, product
 from operator import itemgetter
 from typing import Iterator, Mapping, Optional
 
@@ -41,7 +41,7 @@ from .formula import (
 
 COEFF_LIMIT = 16  # at most 16 or-nodes, so 2^16 coefficient assignments
 
-CoefficientAssignment = Mapping[int, int]  # coeff_id -> 0 or 1
+CoefficientAssignment = Mapping[int, int]  # or-node number -> 0 or 1
 Parts = tuple[tuple[str, int], ...]  # a prospect's sorted (name, coeff) pairs
 
 
@@ -134,57 +134,54 @@ class OptionSet(Record):
         return [p.serialize() for p in self.sorted()]
 
 
-def _check_denotable(f: Formula) -> None:
+def _check_denotable(f: Formula) -> int:
+    """The number of f's or-nodes. Raises UnsupportedConnectiveError at the
+    first `not` or `xor` in pre-order."""
     if isinstance(f, Not):
         raise UnsupportedConnectiveError("negation has no vector denotation")
     if isinstance(f, Xor):
         raise UnsupportedConnectiveError("xor has no vector denotation")
-    if isinstance(f, (And, Or)):
-        _check_denotable(f.left)
-        _check_denotable(f.right)
+    if isinstance(f, AtomNode):
+        return 0
+    return isinstance(f, Or) + _check_denotable(f.left) + _check_denotable(f.right)
+
+
+def _within_limit(ors: int) -> int:
+    if ors > COEFF_LIMIT:
+        raise SizeLimitError(f"{ors} or-nodes exceed the enumeration limit")
+    return ors
 
 
 def denote_one(f: Formula, c: CoefficientAssignment) -> Prospect:
     """The prospect of f under one coefficient assignment: unit vector at
-    atoms, vector addition at `and`, branch choice at `or` (1 = left)."""
-    _check_denotable(f)
+    atoms, vector addition at `and`, branch choice at `or` (1 = left). The
+    assignment is keyed by or-node number and must cover every or-node; the
+    first one missing in textual order is reported."""
+    for n in range(_check_denotable(f)):
+        if n not in c:
+            raise WorkbenchError(f"coefficient assignment lacks or-node {n}")
+        if c[n] not in (0, 1):
+            raise WorkbenchError(f"coefficient must be 0 or 1, got {c[n]!r}")
+    number = count()
 
     def go(node: Formula) -> Prospect:
         if isinstance(node, AtomNode):
             return Prospect(((node.atom.name, 1),))
+        left = go(node.left)
         if isinstance(node, And):
-            return go(node.left).add(go(node.right))
-        assert isinstance(node, Or)
-        try:
-            choice = c[node.coeff_id]
-        except KeyError:
-            raise WorkbenchError(
-                f"coefficient assignment lacks or-node {node.coeff_id}") from None
-        if choice not in (0, 1):
-            raise WorkbenchError(f"coefficient must be 0 or 1, got {choice!r}")
-        return go(node.left) if choice == 1 else go(node.right)
+            return left.add(go(node.right))
+        choice = c[next(number)]
+        right = go(node.right)
+        return left if choice == 1 else right
 
     return go(f)
 
 
-def _coeff_ids(f: Formula) -> list[int]:
-    """f's or-node ids, sorted. Each Or node needs its own coeff_id: a shared
-    one would tie the nodes' choices together."""
-    ids = [node.coeff_id for _, node in or_nodes(f)]
-    for prev, cur in zip(ids, ids[1:]):  # or_nodes sorts by coeff_id
-        if prev == cur:
-            raise WorkbenchError(f"coefficient id {cur} is shared by more than one or-node")
-    if len(ids) > COEFF_LIMIT:
-        raise SizeLimitError(f"{len(ids)} or-nodes exceed the enumeration limit")
-    return ids
-
-
 def coefficient_assignments(f: Formula) -> Iterator[dict[int, int]]:
-    """All 2^k choices over f's Or nodes, all-ones first: the first id in
-    sorted order varies slowest."""
-    ids = _coeff_ids(f)
-    for bits in product([1, 0], repeat=len(ids)):
-        yield dict(zip(ids, bits))
+    """All 2^k choices over f's k or-nodes, keyed by number, all-ones first:
+    or-node 0 varies slowest."""
+    for bits in product([1, 0], repeat=_within_limit(len(or_nodes(f)))):
+        yield dict(enumerate(bits))
 
 
 def denote_options(f: Formula) -> OptionSet:
@@ -193,35 +190,37 @@ def denote_options(f: Formula) -> OptionSet:
 
 
 def _option_pass(f: Formula) -> tuple[OptionSet, tuple[int, ...]]:
-    """f's option set and its Hobson nodes' ids, sorted, from one pass.
+    """f's option set and its Hobson nodes' numbers, sorted, from one pass.
 
-    Assignment i of `coefficient_assignments` sets the or-node of rank r
-    among the sorted ids to 0 exactly when bit k-1-r of i is set. A prospect
-    is keyed by the smallest i that yields it: an atom's option has key 0, a
-    sum's key is the sum of its summands' keys (their or-nodes are disjoint),
-    and a right branch's keys grow by its or-node's bit. Where a prospect
-    arises twice it keeps the smaller key; sorting by key gives the order of
-    first appearance. An or-node is Hobson's choice when its branches' dicts
-    have the same keys (not values), compared before the right is merged in."""
-    _check_denotable(f)
-    ids = _coeff_ids(f)
-    bit = {cid: 1 << (len(ids) - 1 - rank) for rank, cid in enumerate(ids)}
+    The pass numbers each or-node after its left subtree, as `or_nodes`
+    does. Assignment i of `coefficient_assignments` sets or-node n to 0
+    exactly when bit k-1-n of i is set. A prospect is keyed by the smallest
+    i that yields it: an atom's option has key 0, a sum's key is the sum of
+    its summands' keys (their or-nodes are disjoint), and a right branch's
+    keys grow by its or-node's bit. Where a prospect arises twice it keeps
+    the smaller key; sorting by key gives the order of first appearance. An
+    or-node is Hobson's choice when its branches' dicts have the same keys
+    (not values), compared before the right is merged in."""
+    k = _within_limit(_check_denotable(f))
+    number = count()
     hobsons = []
 
     def go(node: Formula) -> dict[Parts, int]:
         if isinstance(node, AtomNode):
             return {((node.atom.name, 1),): 0}
-        left, right = go(node.left), go(node.right)
+        left = go(node.left)
         if isinstance(node, And):
             out: dict[Parts, int] = {}
+            right = go(node.right)
             for x, kx in left.items():
                 for y, ky in right.items():
                     _keep_first(out, _merge(x, y), kx + ky)
             return out
-        assert isinstance(node, Or)
+        n = next(number)
+        right = go(node.right)
         if left.keys() == right.keys():
-            hobsons.append(node.coeff_id)
-        w = bit[node.coeff_id]
+            hobsons.append(n)
+        w = 1 << (k - 1 - n)
         for y, ky in right.items():
             _keep_first(left, y, ky + w)
         return left
@@ -275,7 +274,7 @@ class Judgment(Record):
     category: Category
     # every (option, atom, coefficient) with a stative atom at coefficient >= 2
     double_images: tuple[tuple[Prospect, str, int], ...] = ()
-    # coeff_ids of or-nodes whose branches denote identical option sets
+    # numbers of the or-nodes whose branches denote identical option sets
     hobson_nodes: tuple[int, ...] = ()
 
     def serialize(self) -> dict[str, object]:

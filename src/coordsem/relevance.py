@@ -265,7 +265,7 @@ def check_disjunction_corollary(denominator: int) -> SearchResult:
         # extreme case needs no test of its own.
         return mass("both") * den < a * b
 
-    return _search(("A", "B"), den, {"disjunction": Or(_A, _B, 0), "a": _A, "b": _B,
+    return _search(("A", "B"), den, {"disjunction": Or(_A, _B), "a": _A, "b": _B,
                                      "both": And(_A, _B)}, tests)
 
 
@@ -287,7 +287,7 @@ def check_explosion_irrelevance(d: RationalDist, *events: Formula,
 
 
 _CONTRADICTION = And(_A, Not(_A))
-_EXPLOSION_EVENTS = (_B, Not(_B), _A, And(_A, _B), Or(_A, _B, 0))
+_EXPLOSION_EVENTS = (_B, Not(_B), _A, And(_A, _B), Or(_A, _B))
 
 
 def explosion_on_grid(denominator: int) -> SearchResult:
@@ -370,7 +370,7 @@ def check_relevance_ordering(denominator: int) -> SearchResult:
 
     The search walks `_ordering_points(denominator)`, which meet every
     premise by construction, so `checked` counts them all."""
-    conj, disj, not_h = And(_A, _B), Or(_A, _B, 0), Not(_H)
+    conj, disj, not_h = And(_A, _B), Or(_A, _B), Not(_H)
     events: dict[str, Formula] = {}
     for side, suffix in ((_H, "_h"), (not_h, "_nh")):
         for name, e in (("a", _A), ("b", _B), ("ab", conj), ("or", disj)):

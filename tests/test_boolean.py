@@ -262,7 +262,7 @@ formulas = st.recursive(
     _leaf,
     lambda kids: st.one_of(
         st.builds(And, kids, kids),
-        st.builds(lambda l, r: Or(l, r, 0), kids, kids),
+        st.builds(Or, kids, kids),
         st.builds(Xor, kids, kids),
         st.builds(Not, kids),
     ),

@@ -166,6 +166,13 @@ def test_implicatures_modes(capsys):
     assert "K(not (A and B))" in opinion
 
 
+def test_implicatures_collapse_equal_disjuncts_that_contain_or(capsys):
+    code, out, _ = run(capsys, "implicatures", "(A or B) or (A or B)")
+    assert code == 0
+    assert out.count("notK(A or B)") == 1
+    assert out.count("notK(not (A or B))") == 1
+
+
 def test_prob_frege(capsys):
     code, out, _ = run(capsys, "prob", "frege", "--denominator", "4")
     assert code == 0

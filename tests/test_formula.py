@@ -32,37 +32,45 @@ from coordsem import (
     parse,
     unparse,
 )
-from coordsem.formula import CORPUS_LABELS, JOIN, MEET, renumber_coefficients
+from coordsem.formula import CORPUS_LABELS, JOIN, MEET, or_nodes, subformulas
 
 A, B, C = (AtomNode(Atom(n)) for n in "ABC")
 
 
 def test_parse_grouping():
-    assert parse("A and (B or C)") == And(A, Or(B, C, 0))
+    assert parse("A and (B or C)") == And(A, Or(B, C))
 
 
 def test_parse_self_disjunction():
-    assert parse("A or A") == Or(A, A, 0)
+    assert parse("A or A") == Or(A, A)
 
 
 def test_parse_distinct_coefficients():
     f = parse("(A or B) and (A or C)")
-    assert f == And(Or(A, B, 0), Or(A, C, 1))
+    assert f == And(Or(A, B), Or(A, C))
+    assert [path for path, _ in or_nodes(f)] == [(0,), (1,)]
 
 
 def test_parse_precedence_and_tighter_than_or():
-    assert parse("A and B or C") == Or(And(A, B), C, 0)
-    assert parse("A or B and C") == Or(A, And(B, C), 0)
+    assert parse("A and B or C") == Or(And(A, B), C)
+    assert parse("A or B and C") == Or(A, And(B, C))
 
 
 def test_parse_right_associativity():
-    assert parse("A or B or C") == Or(A, Or(B, C, 1), 0)
+    assert parse("A or B or C") == Or(A, Or(B, C))
     assert parse("A and B and C") == And(A, And(B, C))
 
 
 def test_parse_coefficients_follow_textual_order():
     f = parse("(A or B) or (C or A)")
-    assert f == Or(Or(A, B, 0), Or(C, A, 2), 1)
+    assert f == Or(Or(A, B), Or(C, A))
+    assert [path for path, _ in or_nodes(f)] == [(0,), (), (1,)]
+
+
+def test_or_values_compare_equal_wherever_they_stand():
+    f = parse("(A or B) or (A or B)")
+    assert f.left == f.right == parse("A or B")
+    assert len({f.left, f.right}) == 1
 
 
 def test_parse_not_and_xor():
@@ -140,43 +148,41 @@ def test_corpus_round_trip(label):
     assert parse(unparse(f)) == f
 
 
-def _coeff_ids(f):
-    out = []
-    def go(node):
-        if isinstance(node, (And, Or, Xor)):
-            if isinstance(node, Or):
-                out.append(node.coeff_id)
-            go(node.left)
-            go(node.right)
-        elif isinstance(node, Not):
-            go(node.child)
-    go(f)
-    return out
-
-
 @pytest.mark.parametrize("text", [
     "A or B", "(A or B) and (A or C)", "A or (B or (C or A))",
     "((A or B) or C) or A", "not (A or B) xor (C or A)",
 ])
-def test_coefficients_are_an_initial_segment(text):
-    ids = _coeff_ids(parse(text))
-    assert sorted(ids) == list(range(len(ids)))
+def test_or_node_i_is_the_ith_or_keyword(text):
+    # turning the i-th `or` of the text into `xor` turns or-node i into xor
+    f = parse(text)
+    keywords = [m.start() for m in re.finditer(r"\bor\b", text)]
+    assert len(or_nodes(f)) == len(keywords)
+    for (path, node), pos in zip(or_nodes(f), keywords):
+        g = dict(subformulas(parse(f"{text[:pos]}xor{text[pos + 2:]}")))
+        assert g[path] == Xor(node.left, node.right)
+
+
+def test_or_nodes_are_in_order_not_pre_order():
+    f = parse("((A or B) or C) or A")
+    assert [path for path, _ in or_nodes(f)] == [(0, 0), (0,), ()]
+    assert [path for path, node in subformulas(f) if isinstance(node, Or)] == \
+        [(), (0,), (0, 0)]
 
 
 def test_corpus_contents():
-    assert corpus_lookup("1b") == Or(And(A, B), And(A, C), 0)
-    assert corpus_lookup("5a") == Or(A, And(A, B), 0)
+    assert corpus_lookup("1b") == Or(And(A, B), And(A, C))
+    assert corpus_lookup("5a") == Or(A, And(A, B))
     assert corpus_lookup("6c") == And(A, A)
-    assert corpus_lookup("2a") == Or(A, And(B, C), 0)
+    assert corpus_lookup("2a") == Or(A, And(B, C))
     assert corpus_lookup("3a") == corpus_lookup("2a")  # sentential expansion
     assert corpus_lookup("4b") == corpus_lookup("2b")
 
 
 def test_corpus_primed_variants_swap_one_or():
-    assert corpus_lookup("2b") == And(Or(A, B, 0), Or(A, C, 1))
-    assert corpus_lookup("2b'") == And(Or(A, B, 0), Or(C, A, 1))
-    assert corpus_lookup("5c") == And(A, Or(A, B, 0))
-    assert corpus_lookup("5c'") == And(A, Or(B, A, 0))
+    assert corpus_lookup("2b") == And(Or(A, B), Or(A, C))
+    assert corpus_lookup("2b'") == And(Or(A, B), Or(C, A))
+    assert corpus_lookup("5c") == And(A, Or(A, B))
+    assert corpus_lookup("5c'") == And(A, Or(B, A))
 
 
 def test_corpus_unknown_label():
@@ -211,10 +217,13 @@ def test_instantiate_dis1_collapses_to_absorption():
     assert equivalent(rhs, A).valid
 
 
-def test_instantiate_renumbers_coefficients():
+def test_instantiate_numbers_or_nodes_by_position():
     lhs, rhs = instantiate(IDE1, {"X": parse("A or B")})
-    assert sorted(_coeff_ids(lhs)) == [0, 1, 2]
-    assert sorted(_coeff_ids(rhs)) == [0]
+    assert (lhs, rhs) == (parse("(A or B) or (A or B)"), parse("A or B"))
+    assert [path for path, _ in or_nodes(lhs)] == [(0,), (), (1,)]
+    # the bound formula's or-node precedes the template's
+    lhs, _ = instantiate(DIS2, {"X": parse("A or B"), "Y": B, "Z": C})
+    assert [path for path, _ in or_nodes(lhs)] == [(0,), ()]
 
 
 def test_instantiate_unbound_metavariable():
@@ -270,12 +279,12 @@ def _trees(aspects):
         st.builds(lambda n: AtomNode(Atom(n, aspects[n])), st.sampled_from(sorted(aspects))),
         lambda kids: st.one_of(
             st.builds(And, kids, kids),
-            st.builds(lambda l, r: Or(l, r, 0), kids, kids),
+            st.builds(Or, kids, kids),
             st.builds(Xor, kids, kids),
             st.builds(Not, kids),
         ),
         max_leaves=10,
-    ).map(renumber_coefficients)
+    )
 
 
 _tree = _trees(dict.fromkeys("ABCD", "stative"))
@@ -284,6 +293,22 @@ _tree = _trees(dict.fromkeys("ABCD", "stative"))
 @given(_tree)
 def test_parse_unparse_round_trip(f):
     assert parse(unparse(f)) == f
+
+
+def _in_order_ors(f, path=()):
+    """The reference numbering: a walk that visits a node between its
+    children's subtrees."""
+    if isinstance(f, Not):
+        return _in_order_ors(f.child, path + (0,))
+    if isinstance(f, AtomNode):
+        return []
+    here = [(path, f)] if isinstance(f, Or) else []
+    return _in_order_ors(f.left, path + (0,)) + here + _in_order_ors(f.right, path + (1,))
+
+
+@given(_tree)
+def test_or_nodes_follow_an_in_order_walk(f):
+    assert or_nodes(f) == _in_order_ors(f)
 
 
 @given(_trees({"A": "iterable", "B": "iterable", "C": "stative", "D": "iterable"}),

@@ -30,7 +30,7 @@ from coordsem import (
     Xor,
 )
 from coordsem.boolean import ATOM_LIMIT
-from coordsem.formula import atom_names, renumber_coefficients, subformulas
+from coordsem.formula import atom_names, subformulas
 from coordsem.implicature import EpistemicConstraint, _ordered_or_paths
 
 
@@ -79,6 +79,13 @@ def test_clausal_self_disjunction_deduplicates():
     assert _texts(potential_clausal(corpus_lookup("6a"))) == ["notK(A)", "notK(not A)"]
 
 
+def test_clausal_equal_disjuncts_with_or_give_one_pair():
+    got = potential_clausal(parse("(A or B) or (A or B)"))
+    root = [str(c) for c in got if c.source == ()]
+    assert root == ["notK(A or B)", "notK(not (A or B))"]
+    assert len(got) == 2 + 4 + 4  # each inner or-node keeps its own entries
+
+
 def test_clausal_conjunction_has_none():
     assert potential_clausal(parse("A and B")) == []
 
@@ -110,14 +117,22 @@ def test_scalar_soames_needs_opinionatedness():
     assert _texts(both) == ["notK(A and B)", "K(not (A and B))"]
 
 
+def test_scalar_soames_names_or_nodes_by_position():
+    # or-node 0 is the inner node, which comes second in path order
+    got = potential_scalar(parse("(A or B) or C"), Mode.SOAMES, opinionated=(0,))
+    assert [(str(c), c.source) for c in got] == [
+        ("notK((A or B) and C)", ()),
+        ("notK(A and B)", (0,)), ("K(not (A and B))", (0,))]
+
+
 _any_formula = st.recursive(
     st.builds(lambda n: AtomNode(Atom(n)), st.sampled_from("ABC")),
     lambda kids: st.one_of(st.builds(And, kids, kids),
-                           st.builds(lambda l, r: Or(l, r, 0), kids, kids),
+                           st.builds(Or, kids, kids),
                            st.builds(Xor, kids, kids),
                            st.builds(Not, kids)),
     max_leaves=12,
-).map(renumber_coefficients)
+)
 
 
 @given(_any_formula)
@@ -216,7 +231,7 @@ def _constraints(names, max_leaves):
     bodies = st.recursive(
         st.builds(lambda n: AtomNode(Atom(n)), st.sampled_from(names)),
         lambda kids: st.one_of(st.builds(And, kids, kids),
-                               st.builds(lambda l, r: Or(l, r, 0), kids, kids),
+                               st.builds(Or, kids, kids),
                                st.builds(Not, kids)),
         max_leaves=max_leaves,
     )
@@ -239,7 +254,7 @@ def _wide_constraints(draw):
     atoms = {a: AtomNode(Atom(a)) for a in names}
     pinned = draw(st.permutations(names))[:len(names) - 4]
     known = [atoms[a] if draw(st.booleans()) else Not(atoms[a]) for a in pinned]
-    known += [Or(atoms[a], Not(atoms[a]), 0) for a in names]
+    known += [Or(atoms[a], Not(atoms[a])) for a in names]
     constraints = ([EpistemicConstraint(Polarity.K, body, Provenance.ASSERTION, ())
                     for body in known]
                    + draw(st.lists(_constraints(names, 6), max_size=6)))
@@ -332,10 +347,10 @@ _sentence = st.recursive(
     _leaf,
     lambda kids: st.one_of(
         st.builds(And, kids, kids),
-        st.builds(lambda l, r: Or(l, r, 0), kids, kids),
+        st.builds(Or, kids, kids),
     ),
     max_leaves=6,
-).map(renumber_coefficients)
+)
 
 
 @given(_sentence, st.sampled_from([Mode.GAZDAR, Mode.SOAMES]))

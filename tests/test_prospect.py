@@ -31,7 +31,7 @@ from coordsem import (
 )
 from coordsem import prospect
 from coordsem.boolean import assignments, truth_mask
-from coordsem.formula import STATIVE, atom_names, atoms, or_nodes, renumber_coefficients
+from coordsem.formula import STATIVE, atom_names, atoms, or_nodes
 
 A, B, C = (AtomNode(Atom(n)) for n in "ABC")
 
@@ -56,6 +56,12 @@ def test_denote_one_requires_total_assignment():
         denote_one(parse("A or B"), {})
     with pytest.raises(WorkbenchError):
         denote_one(parse("A or B"), {0: 2})
+    # an or-node counts even on a branch not chosen; the first missing one
+    # in textual order is named
+    with pytest.raises(WorkbenchError, match="lacks or-node 2$"):
+        denote_one(parse("(A or B) or (C or D)"), {0: 1, 1: 1})
+    with pytest.raises(WorkbenchError, match="lacks or-node 0$"):
+        denote_one(parse("(A or B) or (C or D)"), {1: 1})
 
 
 def test_denotation_rejects_negation_and_xor():
@@ -64,30 +70,6 @@ def test_denotation_rejects_negation_and_xor():
             denote_options(parse(text))
         with pytest.raises(UnsupportedConnectiveError):
             judge(parse(text))
-
-
-@pytest.mark.parametrize("entry", [
-    denote_options,
-    judge,
-    lambda f: option_equivalent(f, parse("A")),
-    lambda f: option_equivalent(parse("A"), f),
-], ids=["denote_options", "judge", "option_equivalent_left", "option_equivalent_right"])
-def test_shared_coefficient_id_is_rejected(entry):
-    D = AtomNode(Atom("D"))
-    # one id on both or-nodes would tie their choices: {A + C, B + D}
-    tied = And(Or(A, B, 0), Or(C, D, 0))
-    with pytest.raises(WorkbenchError, match="coefficient id 0"):
-        entry(tied)
-    # unique ids out of textual order stay legal
-    assert len(denote_options(And(Or(A, B, 1), Or(C, D, 0)))) == 4
-
-
-def test_option_order_follows_sorted_ids_not_text():
-    D = AtomNode(Atom("D"))
-    # id 0 sits on the second or-node, so its choice varies slowest
-    f = And(Or(A, B, 1), Or(C, D, 0))
-    assert [str(p) for p in denote_options(f)] == ["A + C", "B + C", "A + D", "B + D"]
-    assert denote_options(f).prospects == reference_options(f)
 
 
 def _chain(k: int) -> str:
@@ -102,13 +84,9 @@ def test_size_limit_and_error_order():
         denote_options(over)
     with pytest.raises(SizeLimitError):
         next(prospect.coefficient_assignments(over))
-    # an unsupported connective is reported before a shared id, a shared id
-    # before the size limit
-    shared = Or(over, Or(A, B, 0), 1)
-    with pytest.raises(WorkbenchError, match="coefficient id 0 is shared"):
-        denote_options(shared)
+    # an unsupported connective is reported before the size limit
     with pytest.raises(UnsupportedConnectiveError):
-        denote_options(And(shared, parse("not A")))
+        denote_options(And(over, parse("not A")))
 
 
 OPTION_SETS = {
@@ -251,7 +229,7 @@ def _reference_judge(f):
                     for p in OptionSet(reference_options(f)).sorted()
                     for name, coeff in p.parts
                     if coeff >= 2 and aspect[name] == STATIVE)
-    hobsons = tuple(node.coeff_id for _, node in or_nodes(f)
+    hobsons = tuple(n for n, (_, node) in enumerate(or_nodes(f))
                     if OptionSet(reference_options(node.left))
                     == OptionSet(reference_options(node.right)))
     if doubles:
@@ -263,42 +241,21 @@ def _reference_judge(f):
     return Judgment(category, doubles, hobsons)
 
 
-def _set_ids(f, ids):
-    """f with its or-nodes renumbered, one id each from `ids`."""
-    it = iter(ids)
-
-    def go(node):
-        if isinstance(node, AtomNode):
-            return node
-        if isinstance(node, And):
-            return And(go(node.left), go(node.right))
-        return Or(go(node.left), go(node.right), next(it))
-
-    return go(f)
-
-
-@st.composite
-def _shuffled_ids(draw):
-    """A denotable formula whose unique or-node ids are in no fixed order."""
-    leaf = st.builds(lambda n, iterable: AtomNode(Atom(n, "iterable" if iterable else "stative")),
-                     st.sampled_from("ABCD"), st.booleans())
-    f = draw(st.recursive(
-        leaf,
-        lambda kids: st.one_of(st.builds(And, kids, kids),
-                               st.builds(lambda l, r: Or(l, r, 0), kids, kids)),
-        max_leaves=14,
-    ))
-    k = sum(1 for _ in _paths(f))
-    return _set_ids(f, draw(st.lists(st.integers(0, 40), min_size=k, max_size=k, unique=True)))
+_mixed_denotable = st.recursive(
+    st.builds(lambda n, iterable: AtomNode(Atom(n, "iterable" if iterable else "stative")),
+              st.sampled_from("ABCD"), st.booleans()),
+    lambda kids: st.one_of(st.builds(And, kids, kids), st.builds(Or, kids, kids)),
+    max_leaves=14,
+)
 
 
 @settings(max_examples=400)
-@given(_shuffled_ids())
+@given(_mixed_denotable)
 # B first arises on the right branch of the outer or-node, with a smaller
 # key than on its left branch: keeping the first key seen puts C before B
-@example(Or(Or(A, B, 0), Or(B, C, 2), 1))
-# both Hobson nodes, found in the order 1, 0, are reported sorted
-@example(And(Or(A, A, 1), Or(B, B, 0)))
+@example(Or(Or(A, B), Or(B, C)))
+# the Hobson nodes, found in the order 0, 2, 1, are reported sorted
+@example(Or(Or(A, A), Or(A, A)))
 @example(parse("(A or B) or (B or A)"))
 @example(parse("(A or A) and (B or (C or C))"))
 @example(parse("A or (A or B)"))
@@ -366,10 +323,10 @@ _denotable = st.recursive(
     _leaf,
     lambda kids: st.one_of(
         st.builds(And, kids, kids),
-        st.builds(lambda l, r: Or(l, r, 0), kids, kids),
+        st.builds(Or, kids, kids),
     ),
     max_leaves=10,
-).map(renumber_coefficients)
+)
 
 
 def _swap_children_everywhere(f):
@@ -377,8 +334,7 @@ def _swap_children_everywhere(f):
         return f
     if isinstance(f, And):
         return And(_swap_children_everywhere(f.right), _swap_children_everywhere(f.left))
-    return Or(_swap_children_everywhere(f.right), _swap_children_everywhere(f.left),
-              f.coeff_id)
+    return Or(_swap_children_everywhere(f.right), _swap_children_everywhere(f.left))
 
 
 @given(_denotable)

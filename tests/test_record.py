@@ -57,7 +57,6 @@ class And:
 class Or:
     left: object
     right: object
-    coeff_id: int
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,7 @@ _formulas = st.recursive(
     lambda kids: st.one_of(
         st.builds(fm.Not, kids),
         st.builds(fm.And, kids, kids),
-        st.builds(fm.Or, kids, kids, st.integers(0, 3)),
+        st.builds(fm.Or, kids, kids),
         st.builds(fm.Xor, kids, kids),
     ),
     max_leaves=8,
@@ -313,7 +312,7 @@ CONSTRUCTIONS = [
     (fm.Atom, ("A",), {}),
     (fm.Atom, (), {"name": "A", "aspect": fm.ITERABLE}),
     (fm.Atom, ("A",), {"aspect": fm.ITERABLE}),
-    (fm.Or, (_a,), {"coeff_id": 3, "right": _b}),
+    (fm.Or, (_a,), {"right": _b}),
     (fm.LawSchema, ("L", _a, _b), {}),
     (fm.LawSchema, (), {"name": "L", "lhs": fm.parse("X or Y"), "rhs": fm.parse("Y or X"),
                         "connective_map": ((fm.JOIN, "xor"), (fm.JOIN, "xor"))}),

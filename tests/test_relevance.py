@@ -101,7 +101,7 @@ def reference_prob(d, f):
 _event = st.recursive(
     st.builds(lambda n: AtomNode(Atom(n)), st.sampled_from("ABC")),
     lambda kids: st.one_of(st.builds(And, kids, kids),
-                           st.builds(lambda l, r: Or(l, r, 0), kids, kids),
+                           st.builds(Or, kids, kids),
                            st.builds(Xor, kids, kids),
                            st.builds(Not, kids)),
     max_leaves=6,
@@ -164,7 +164,7 @@ def test_prob_is_finitely_additive():
     for d in grid(["A", "B"], 3):
         for f in EVENTS:
             for g in EVENTS:
-                assert prob(d, Or(f, g, 0)) + prob(d, And(f, g)) == \
+                assert prob(d, Or(f, g)) + prob(d, And(f, g)) == \
                     prob(d, f) + prob(d, g)
 
 
@@ -404,7 +404,7 @@ def reference_frege(denominator, premise_variants):
 
 
 def reference_corollary(denominator):
-    disjunction = Or(_A, _B, 0)
+    disjunction = Or(_A, _B)
     both = And(_A, _B)
     checked = 0
     for d in grid(("A", "B"), denominator):
@@ -424,7 +424,7 @@ def reference_corollary(denominator):
 def reference_ordering(denominator):
     """The search result, and the number of checked points where an
     inequality held with equality."""
-    conj, disj = And(_A, _B), Or(_A, _B, 0)
+    conj, disj = And(_A, _B), Or(_A, _B)
     checked = 0
     equalities = 0
     for d in grid(("A", "B", "H"), denominator):
@@ -509,7 +509,7 @@ def reference_ordering_walk(denominator):
     and those points."""
     den = denominator
     atoms = ("A", "B", "H")
-    conj, disj, not_h = And(_A, _B), Or(_A, _B, 0), Not(_H)
+    conj, disj, not_h = And(_A, _B), Or(_A, _B), Not(_H)
     events = {"h": _H}
     for side, suffix in ((_H, "_h"), (not_h, "_nh")):
         for name, e in (("a", _A), ("b", _B), ("ab", conj), ("or", disj)):
@@ -594,7 +594,7 @@ def test_relevance_ordering_is_strict_under_its_premises(ph, a_pair, b_pair):
         pa, pb, p = (a, b, ph) if in_h else (a_nh, b_nh, 1 - ph)
         table[(in_a, in_b, in_h)] = p * (pa if in_a else 1 - pa) * (pb if in_b else 1 - pb)
     d = RationalDist.from_cells(["A", "B", "H"], table)
-    conj, disj, not_h = And(_A, _B), Or(_A, _B, 0), Not(_H)
+    conj, disj, not_h = And(_A, _B), Or(_A, _B), Not(_H)
     # every premise of check_relevance_ordering holds
     assert cond_prob(d, conj, _H) == cond_prob(d, _A, _H) * cond_prob(d, _B, _H)
     assert cond_prob(d, conj, not_h) == cond_prob(d, _A, not_h) * cond_prob(d, _B, not_h)
