@@ -190,16 +190,23 @@ def _cmd_implicatures(args: argparse.Namespace) -> dict:
 
 
 def _render_implicatures(data: dict) -> str:
+    # Clausal and scalar entries name their or-node by its number, so equal
+    # nodes' entries stay apart; the formula text round-trips through parse.
+    number = {tuple(path): i for i, (path, _) in enumerate(or_nodes(parse(data["formula"])))}
+
+    def entry(c: dict) -> str:
+        tag = c["provenance"]
+        if tag != "assertion":
+            tag += f" at or-node {number[tuple(c['source'])]}"
+        return f"  {c['polarity']}({c['body']})  [{tag}]"
+
     lines = [f"{data['input']}: {data['formula']} ({data['mode']} mode)", "accepted:"]
-    for c in data["accepted"]:
-        lines.append(f"  {c['polarity']}({c['body']})  [{c['provenance']}]")
+    lines += [entry(c) for c in data["accepted"]]
     if data["suppressed"]:
         lines.append("suppressed:")
         for s in data["suppressed"]:
-            c = s["constraint"]
             partners = ", ".join(f"{p['polarity']}({p['body']})" for p in s["clashes_with"])
-            lines.append(f"  {c['polarity']}({c['body']})  [{c['provenance']}]"
-                         f"  clashes with: {partners}")
+            lines.append(f"{entry(s['constraint'])}  clashes with: {partners}")
     else:
         lines.append("suppressed: none")
     return "\n".join(lines) + "\n"

@@ -125,6 +125,18 @@ def potential_scalar(
     return out
 
 
+def _needs(k_mask: int, notk_masks: Iterable[int]) -> Optional[list[int]]:
+    """The verdict rule, over the K-worlds `k_mask` (where every K-body holds)
+    and the notK bodies' truth masks. The set is satisfiable iff some K-world
+    exists and every notK body fails at some K-world; then every K-world
+    together is a model. Returns the needs, the K-worlds where each notK body
+    fails, or None if the set is unsatisfiable."""
+    if not k_mask:
+        return None
+    needs = [k_mask & ~m for m in notk_masks]
+    return needs if all(needs) else None
+
+
 def consistent(
     constraints: Iterable[EpistemicConstraint],
 ) -> tuple[bool, Optional[BeliefModel]]:
@@ -150,11 +162,8 @@ def consistent(
     k_mask = (1 << 2 ** len(names)) - 1
     for m in k_masks:
         k_mask &= m
-
-    # Satisfiable iff some K-world exists and every notK-body fails at some
-    # K-world; then every K-world together is a valid model.
-    needs = [k_mask & ~m for m in notk_masks]
-    if k_mask == 0 or not all(needs):
+    needs = _needs(k_mask, notk_masks)
+    if needs is None:
         return False, None
     model = 0
     for need in sorted(needs, key=lambda need: need & -need, reverse=True):
@@ -201,14 +210,27 @@ def _minimal_clash_set(
 ) -> tuple[EpistemicConstraint, ...]:
     """Shrink the accepted set to a minimal subset still inconsistent with
     the candidate, dropping later-accepted constraints first so the blame
-    lands on the earliest (highest-precedence) partners."""
-    kept = list(accepted)
-    for c in reversed(list(accepted)):
-        trial = [k for k in kept if k is not c]
-        ok, _ = consistent(trial + [candidate])
-        if not ok:
+    lands on the earliest (highest-precedence) partners.
+
+    Each truth table is computed once, over the atoms of the whole set, and
+    each trial is tested on those masks with `_needs`. A trial's verdict is
+    the one `consistent` gives it over its own atoms, because atoms that no
+    body mentions do not change satisfiability."""
+    constraints = [*accepted, candidate]
+    names = sorted({a for c in constraints for a in atom_names(c.body)})
+    masks = [truth_mask(c.body, names) for c in constraints]
+    known = [c.polarity is Polarity.K for c in constraints]
+    universe = (1 << 2 ** len(names)) - 1
+    kept = list(range(len(constraints)))  # indices; the candidate is last
+    for i in reversed(range(len(accepted))):
+        trial = [j for j in kept if j != i]
+        k_mask = universe
+        for j in trial:
+            if known[j]:
+                k_mask &= masks[j]
+        if _needs(k_mask, [masks[j] for j in trial if not known[j]]) is None:
             kept = trial
-    return tuple(kept)
+    return tuple(constraints[j] for j in kept[:-1])
 
 
 def project(

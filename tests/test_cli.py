@@ -171,6 +171,12 @@ def test_implicatures_collapse_equal_disjuncts_that_contain_or(capsys):
     assert code == 0
     assert out.count("notK(A or B)") == 1
     assert out.count("notK(not (A or B))") == 1
+    # the equal inner nodes' entries are told apart by their or-node numbers
+    for node in (0, 2):
+        assert out.count(f"  notK(A)  [clausal at or-node {node}]\n") == 1
+        assert out.count(f"  K(not (A and B))  [scalar_strong at or-node {node}]\n") == 1
+    assert "  notK(A or B)  [clausal at or-node 1]  clashes with: " in out
+    assert "  K((A or B) or A or B)  [assertion]\n" in out
 
 
 def test_prob_frege(capsys):
@@ -317,10 +323,10 @@ def test_nesting_past_the_limit_is_a_parse_error(shape, command):
 def test_nesting_at_the_limit_is_accepted(shape, command):
     text = nested(shape, MAX_DEPTH)
     if (shape, command) == ("or", "implicatures"):
-        # Projecting a 100-node or-chain takes minutes (the consistency
-        # checks grow with the fourth power of the or-count), so build
-        # every potential constraint and check them all together instead:
-        # the same walks over the chain that projection makes.
+        # Projecting a 100-node or-chain takes seconds (its cost grows with
+        # about the cube of the or-count; the CI workflow runs it in full),
+        # so build every potential constraint and check them all together
+        # instead: the same walks over the chain that projection makes.
         f = parse(text)
         constraints = assertions(f) + potential_clausal(f) + potential_scalar(f)
         assert consistent(constraints)[0] is False

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from coordsem import (
+    CORPUS_LABELS,
     And,
     Atom,
     AtomLimitError,
@@ -29,9 +31,10 @@ from coordsem import (
     unparse,
     Xor,
 )
-from coordsem.boolean import ATOM_LIMIT
+from coordsem.boolean import ATOM_LIMIT, truth_mask
 from coordsem.formula import atom_names, subformulas
-from coordsem.implicature import EpistemicConstraint, _ordered_or_paths
+from coordsem import implicature
+from coordsem.implicature import EpistemicConstraint, _minimal_clash_set, _ordered_or_paths
 
 
 def _c(polarity, text, provenance=Provenance.ASSERTION, source=()):
@@ -360,3 +363,86 @@ def test_projection_invariants_hold_generally(f, mode):
     assert ok
     for a in assertions(f):
         assert a in report.accepted
+
+
+def reference_minimal_clash_set(accepted, candidate):
+    """The shrink with one `consistent` call per trial: drop accepted
+    constraints latest first, keeping each drop that leaves the rest still
+    inconsistent with the candidate."""
+    kept = list(accepted)
+    for c in reversed(list(accepted)):
+        trial = [k for k in kept if k is not c]
+        ok, _ = consistent(trial + [candidate])
+        if not ok:
+            kept = trial
+    return tuple(kept)
+
+
+def _shrinks(f, mode):
+    """The report of projecting f, and each clash-set shrink it made: the
+    accepted set and candidate it was given, and the clash set it returned."""
+    calls = []
+
+    def spy(accepted, candidate):
+        clash = _minimal_clash_set(accepted, candidate)
+        calls.append((list(accepted), candidate, clash))
+        return clash
+
+    with mock.patch.object(implicature, "_minimal_clash_set", spy):
+        report = project(f, mode)
+    assert len(calls) == len(report.suppressed)
+    return report, calls
+
+
+def _assert_shrinks_match_the_reference(f, mode):
+    _, calls = _shrinks(f, mode)
+    for accepted, candidate, clash in calls:
+        assert clash == reference_minimal_clash_set(accepted, candidate)
+    return len(calls)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_clash_sets_match_the_reference_on_the_corpus(mode):
+    shrinks = sum(_assert_shrinks_match_the_reference(corpus_lookup(label), mode)
+                  for label in CORPUS_LABELS)
+    assert shrinks > 0
+
+
+@given(_sentence, st.sampled_from(list(Mode)))
+def test_clash_sets_match_the_reference_on_sentences(f, mode):
+    _assert_shrinks_match_the_reference(f, mode)
+
+
+@pytest.mark.parametrize("ors", range(1, 13))
+def test_clash_sets_match_the_reference_on_one_atom_or_chains(ors):
+    f = parse(" or ".join(["A"] * (ors + 1)))
+    for mode in Mode:
+        assert _assert_shrinks_match_the_reference(f, mode) > 0
+
+
+@given(_sentence, st.sampled_from(list(Mode)))
+def test_clash_sets_are_minimal(f, mode):
+    for s in project(f, mode).suppressed:
+        members = list(s.clashes_with)
+        assert not consistent(members + [s.constraint])[0]
+        for i in range(len(members)):
+            rest = members[:i] + members[i + 1:]
+            assert consistent(rest + [s.constraint])[0]
+
+
+def test_a_shrink_evaluates_each_truth_table_once():
+    # The shrink's trials reuse the masks, so its truth-table work is linear
+    # in the accepted set, not quadratic.
+    _, calls = _shrinks(parse(" or ".join(["A"] * 13)), Mode.GAZDAR)
+    accepted, candidate, _ = calls[-1]
+    assert len(accepted) > 20
+    bodies = []
+
+    def counting(f, names):
+        bodies.append(f)
+        return truth_mask(f, names)
+
+    with mock.patch.object(implicature, "truth_mask", counting):
+        _minimal_clash_set(accepted, candidate)
+    assert len(bodies) == len(accepted) + 1
+    assert all(b is c.body for b, c in zip(bodies, accepted + [candidate]))
