@@ -6,8 +6,10 @@ the captured output of a failing run) and asserts the criterion's facts.
 
 from __future__ import annotations
 
+import io
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -38,6 +40,7 @@ from coordsem import (
     unparse,
     xor_parity,
 )
+from coordsem.cli import main
 from coordsem.formula import DIS1
 from coordsem.report import compare
 
@@ -219,24 +222,66 @@ def test_criterion_09_probability_theorems():
     _report("criterion 9: probability theorems on exact grids", not failures, failures)
 
 
-def _run_reproduce(*extra: str) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "coordsem", *extra, "reproduce"],
-        capture_output=True, timeout=300)
+def _process(*argv: str) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of a `python -m coordsem` process."""
+    done = subprocess.run([sys.executable, "-m", "coordsem", *argv],
+                          capture_output=True, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _in_process(*argv: str) -> tuple[int, bytes, bytes]:
+    """The same three of `main(argv)` called in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exit:  # argparse ends a usage error this way
+            code = exit.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_criterion_10_reproduce_is_deterministic(fmt):
-    first = _run_reproduce("--format", fmt)
-    second = _run_reproduce("--format", fmt)
+    first = _process("--format", fmt, "reproduce")
+    second = _process("--format", fmt, "reproduce")
     failures = []
-    if first.returncode != 0:
-        failures.append(f"exit code {first.returncode}: {first.stderr.decode()[:200]}")
-    if first.returncode != second.returncode:
+    if first[0] != 0:
+        failures.append(f"exit code {first[0]}: {first[2].decode()[:200]}")
+    if first[0] != second[0]:
         failures.append("exit codes differ between runs")
-    if first.stdout != second.stdout:
+    if first[1] != second[1]:
         failures.append("stdout bytes differ between runs")
-    if not first.stdout:
+    if not first[1]:
         failures.append("no output produced")
+    if _in_process("--format", fmt, "reproduce") != first:
+        failures.append("main(argv) differs from the process")
     _report(f"criterion 10: reproduce is byte-deterministic ({fmt})",
+            not failures, failures)
+
+
+# argv with {} for an --out file, and the exit code both entries must give
+AGREEMENT_CASES = {
+    "out": (("--out", "{}", "reproduce"), 0),
+    "usage": (("prob", "nosuchcheck"), 2),
+    "workbench": (("prob", "corollary", "--drop-beta"), 2),
+}
+
+
+@pytest.mark.parametrize("case", AGREEMENT_CASES)
+def test_criterion_10_process_agrees_with_main(case, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    argv, status = AGREEMENT_CASES[case]
+    files = {side: tmp_path / f"{side}.json" for side in ("process", "main")}
+    process = _process(*(a.format(files["process"]) for a in argv))
+    in_process = _in_process(*(a.format(files["main"]) for a in argv))
+    failures = []
+    if process[0] != status:
+        failures.append(f"exit code {process[0]}, not {status}: {process[2].decode()[:200]}")
+    if in_process != process:
+        failures.append("main(argv) differs from the process")
+    if "{}" in argv:
+        written = [f.read_bytes() if f.exists() else None for f in files.values()]
+        if not written[0] or written[0] != written[1]:
+            failures.append("--out files differ or are missing")
+    _report(f"criterion 10: python -m coordsem agrees with main ({case})",
             not failures, failures)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -36,6 +37,14 @@ def test_laws_text(capsys):
     assert code == 0
     for name in ("Dis.1", "Dis.2", "Abs.1", "Abs.2", "Ide.1", "Ide.2"):
         assert f"{name:<6} valid" in out
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    code, _, _ = run(capsys, "laws")
+    assert code == 0
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
 
 
 def test_laws_xor_json(capsys):
