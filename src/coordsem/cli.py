@@ -9,14 +9,17 @@ dumps the payload as JSON to a file, before anything is printed. Exit codes:
 
 `run` is the process entry, behind both the `coordsem` script and
 `python -m coordsem`: it freezes everything the imports built out of the
-garbage collector and exits with `main`'s code. `main(argv)` is the
-in-process entry and leaves the collector as it finds it.
+garbage collector, runs `main`, flushes stdout and stderr and ends the
+process with `main`'s code, skipping the interpreter's teardown.
+`main(argv)` is the in-process entry and leaves the collector as it finds
+it.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from itertools import combinations
 from typing import NoReturn, Optional, Sequence
@@ -347,15 +350,29 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def run() -> NoReturn:
-    """Process entry: freeze, then exit with `main()`'s code. By now every
-    module a command needs is imported, and the objects those imports built
-    (functions, classes, the corpus) live until exit. `gc.freeze()` moves
-    them to the permanent generation, so neither the collections during the
-    command nor those at exit scan them. No `gc.collect()` first: it costs
-    more than the garbage it would free. Only a process entry may freeze,
-    since it changes the collector for the whole interpreter."""
+    """Process entry: freeze, run `main()`, flush, and end the process with
+    `main()`'s code. By now every module a command needs is imported, and
+    the objects those imports built (functions, classes, the corpus) live
+    until exit. `gc.freeze()` moves them to the permanent generation, so the
+    collections during the command do not scan them. No `gc.collect()`
+    first: it costs more than the garbage it would free. Only a process
+    entry may freeze, since it changes the collector for the whole
+    interpreter.
+
+    Once the output is flushed nothing is left to do, so `os._exit` ends the
+    process without the interpreter's teardown, which frees every module
+    and object one by one; `atexit` hooks, `coverage` among them, do not
+    run. If a flush fails (stdout is a closed pipe, say), `sys.exit` takes
+    the ordinary way out instead, and the teardown reports the failure and
+    sets the exit code as it always has."""
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

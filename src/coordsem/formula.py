@@ -317,6 +317,11 @@ _CORPUS_TEXT = {
 
 CORPUS_LABELS = tuple(_CORPUS_TEXT)
 
+# Each corpus text parsed once, at import, as the law schemas below are.
+# Formulas are immutable, so every lookup of a label can share one tree, and
+# labels with the same text (2a, 3a and 4a) share one parse.
+_CORPUS = {text: parse(text) for text in dict.fromkeys(_CORPUS_TEXT.values())}
+
 
 def corpus_lookup(label: str) -> Formula:
     """The schematic formula registered under a corpus label (1a ... 6c)."""
@@ -325,7 +330,7 @@ def corpus_lookup(label: str) -> Formula:
     except KeyError:
         raise UnknownLabelError(
             f"unknown corpus label {label!r}; known: {', '.join(CORPUS_LABELS)}") from None
-    return parse(text)
+    return _CORPUS[text]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,12 @@ type, `SearchResult`, and one set of size limits, `GRID_ATOM_LIMIT` and
 grid's common denominator: an event's mass is a sum of counts over its
 cells, taken only when a premise or conclusion reads it, and every premise
 and conclusion is an integer comparison by cross-multiplication. A
-distribution of Fraction masses is built only for a witness.
+search that finds a counterexample keeps the integer point it stopped at,
+and `SearchResult.witness` builds that point's distribution of Fraction
+masses only when it is read. `fractions` (with `decimal` and `numbers`,
+which it imports) is imported only where a Fraction is made, so the
+searches `coordsem reproduce` runs, which read statuses and counts, never
+load it.
 
 Frege, the corollary and explosion walk the whole grid. The ordering walks
 only the points that meet its premises, built by construction from the two
@@ -24,14 +29,16 @@ counts the same points that a filter over the whole grid would keep.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ._record import Record
 from .boolean import assignments, truth_mask
 from .errors import SizeLimitError, ZeroProbabilityError
 from .formula import And, Atom, AtomNode, Formula, Not, Or
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 GRID_ATOM_LIMIT = 3
 GRID_DENOMINATOR_LIMIT = 12
@@ -51,18 +58,22 @@ class RationalDist(Record):
             raise ValueError("one mass per truth assignment required")
         if any(m < 0 for m in self.masses):
             raise ValueError("masses must be nonnegative")
-        if sum(self.masses, Fraction(0)) != 1:
+        if sum(self.masses) != 1:
             raise ValueError("masses must sum to exactly 1")
 
     @classmethod
     def from_cells(cls, atoms: Sequence[str],
                    table: dict[tuple[bool, ...], Fraction]) -> "RationalDist":
+        from fractions import Fraction
+
         ordered = tuple(sorted(atoms))
         return cls(ordered, tuple(table.get(tuple(v.values()), Fraction(0))
                                   for v in assignments(ordered)))
 
     @classmethod
     def uniform(cls, atoms: Sequence[str]) -> "RationalDist":
+        from fractions import Fraction
+
         n = 2 ** len(atoms)
         return cls(tuple(sorted(atoms)), tuple([Fraction(1, n)] * n))
 
@@ -86,6 +97,8 @@ def prob(d: RationalDist, f: Formula) -> Fraction:
 
 def _mass(d: RationalDist, mask: int) -> Fraction:
     """The mass of the worlds in `mask`."""
+    from fractions import Fraction
+
     return sum((m for i, m in enumerate(d.masses) if mask >> i & 1), Fraction(0))
 
 
@@ -129,6 +142,8 @@ def _grid_atoms(atoms: Sequence[str], denominator: int) -> tuple[str, ...]:
 
 def _dist(atoms: tuple[str, ...], counts: tuple[int, ...], denominator: int) -> RationalDist:
     """The grid point whose cell masses are counts / denominator."""
+    from fractions import Fraction
+
     return RationalDist(atoms, tuple(Fraction(k, denominator) for k in counts))
 
 
@@ -151,14 +166,23 @@ class SearchStatus(Enum):
 
 
 class SearchResult(Record):
+    """A grid search's status, the number of points it `checked`, and, for a
+    counterexample, the grid `point` it stopped at: (atoms, cell counts,
+    denominator), the counts in `assignments(atoms)` order."""
+
     status: SearchStatus
-    witness: Optional[RationalDist]
+    point: Optional[tuple[tuple[str, ...], tuple[int, ...], int]]
     checked: int
+
+    @property
+    def witness(self) -> Optional[RationalDist]:
+        """The counterexample's distribution, built from `point` when read."""
+        return None if self.point is None else _dist(*self.point)
 
     def serialize(self) -> dict[str, object]:
         return {
             "status": self.status.value,
-            "witness": self.witness.serialize() if self.witness else None,
+            "witness": None if self.point is None else self.witness.serialize(),
             "checked": self.checked,
         }
 
@@ -175,7 +199,7 @@ def _search(atoms: Sequence[str], denominator: int, events: Mapping[str, Formula
     the denominator: the sum of the counts of the event's cells. `tests`
     returns None where the premises fail, and otherwise whether the
     conclusion holds; `checked` counts the points that are not None, and the
-    first False ends the search with the point as the witness.
+    first False ends the search at that point.
 
     A sum is taken only when `mass` is called, so `tests` checks its
     premises cheapest first and reads an event only at a point that passed
@@ -209,7 +233,7 @@ def _search(atoms: Sequence[str], denominator: int, events: Mapping[str, Formula
         checked += 1
         if not holds:
             return SearchResult(SearchStatus.COUNTEREXAMPLE,
-                                _dist(ordered, counts, denominator), checked)
+                                (ordered, counts, denominator), checked)
     return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked)
 
 

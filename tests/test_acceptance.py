@@ -7,6 +7,8 @@ the captured output of a failing run) and asserts the criterion's facts.
 from __future__ import annotations
 
 import io
+import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -259,9 +261,15 @@ def test_criterion_10_reproduce_is_deterministic(fmt):
             not failures, failures)
 
 
+# 4096 options: about 2.9 MB of JSON, far more than a pipe holds, so the
+# process entry exits only after its reader has taken most of the output
+LARGE = " and ".join(f"(A{i} or B{i})" for i in range(12))
+
 # argv with {} for an --out file, and the exit code both entries must give
 AGREEMENT_CASES = {
     "out": (("--out", "{}", "reproduce"), 0),
+    "large-json": (("--format", "json", "judge", LARGE), 0),
+    "large-out": (("--out", "{}", "--format", "json", "judge", LARGE), 0),
     "usage": (("prob", "nosuchcheck"), 2),
     "workbench": (("prob", "corollary", "--drop-beta"), 2),
 }
@@ -284,4 +292,44 @@ def test_criterion_10_process_agrees_with_main(case, tmp_path, monkeypatch):
         if not written[0] or written[0] != written[1]:
             failures.append("--out files differ or are missing")
     _report(f"criterion 10: python -m coordsem agrees with main ({case})",
+            not failures, failures)
+
+
+_BROKEN_PIPE = "BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv", [("laws",), ("--format", "json", "judge", LARGE)],
+                         ids=["small", "large"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_criterion_10_closed_stdout_pipe(argv, unbuffered):
+    # A write to a pipe whose reader has gone fails. A write inside main()
+    # raises there: a traceback and exit 1. Output that is still buffered
+    # when main() returns fails at the entry's flush, which leaves the exit
+    # to the interpreter, and its teardown reports the failed flush and
+    # exits 120, as it did before the entry skipped the teardown.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "coordsem", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=300)
+    finally:
+        os.close(write)
+    err = done.stderr.decode()
+    failures = []
+    if argv == ("laws",) and not unbuffered:
+        if done.returncode != 120:
+            failures.append(f"exit code {done.returncode}, not 120")
+        if not re.fullmatch(r"Exception ignored in: <_io\.TextIOWrapper name='<stdout>' "
+                            r"mode='w' encoding='[\w-]+'>\n" + re.escape(_BROKEN_PIPE), err):
+            failures.append(f"stderr {err!r}")
+    else:
+        if done.returncode != 1:
+            failures.append(f"exit code {done.returncode}, not 1")
+        if not (err.startswith("Traceback (most recent call last):\n")
+                and err.endswith(f"in main\n    sys.stdout.write(out)\n{_BROKEN_PIPE}")):
+            failures.append(f"stderr {err[-300:]!r}")
+    _report("criterion 10: a closed stdout pipe fails as it always has",
             not failures, failures)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -188,6 +192,47 @@ def test_corpus_primed_variants_swap_one_or():
 def test_corpus_unknown_label():
     with pytest.raises(UnknownLabelError):
         corpus_lookup("7a")
+
+
+# Counts the calls of `formula.parse` with each text, from before the
+# package's import to the end of an in-process `reproduce`.
+PARSE_SPY = """
+import contextlib, io, sys
+from collections import Counter
+texts = Counter()
+def spy(frame, event, arg):
+    code = frame.f_code
+    if (event == "call" and code.co_name == "parse"
+            and code.co_filename.endswith("formula.py") and "text" in frame.f_locals):
+        texts[frame.f_locals["text"]] += 1
+sys.setprofile(spy)
+from coordsem.cli import main
+from coordsem.formula import CORPUS_LABELS, corpus_lookup, _CORPUS_TEXT
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["reproduce"])
+    for label in CORPUS_LABELS:
+        corpus_lookup(label)
+sys.setprofile(None)
+print(sorted({texts[_CORPUS_TEXT[label]] for label in CORPUS_LABELS}), texts["X or X"])
+"""
+
+
+def test_each_corpus_label_is_parsed_at_most_once_per_process():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", PARSE_SPY], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    # every corpus text parsed once; the spy sees the law schemas' parses too
+    assert done.stdout == "[1] 1\n"
+
+
+def test_a_corpus_lookup_shares_one_formula():
+    for label in CORPUS_LABELS:
+        assert corpus_lookup(label) is corpus_lookup(label)
+    assert corpus_lookup("3a") is corpus_lookup("2a")  # one text, one parse
+    with pytest.raises(UnknownLabelError) as err:
+        corpus_lookup("7a")
+    assert str(err.value) == ("unknown corpus label '7a'; known: 1a, 1b, 2a, 2b, 2b', "
+                              "3a, 3b, 4a, 4b, 5a, 5b, 5c, 5c', 6a, 6b, 6c")
 
 
 def test_length_metric():

@@ -1,11 +1,14 @@
 """No module of the package, its tests or its demos imports a name it never
 uses. A stdlib `ast` scan stands in for a linter, so the check needs no
 extra dependency. A cold import of the command line loads no heavy module
-and leaves the garbage collector alone; only the process entry freezes it."""
+and leaves the garbage collector alone; only the process entry freezes it,
+and it ends the process through `os._exit`. `reproduce` loads no
+`fractions`; only reading a search's witness does."""
 
 from __future__ import annotations
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -61,9 +64,12 @@ def fresh(probe: str, *args: str) -> str:
     return done.stdout
 
 
+NUMERIC = ("decimal", "fractions", "numbers")
+
+
 def test_cold_cli_import_stays_light():
     probe = ("import sys\nimport coordsem.cli\n"
-             "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))")
+             f"print(sorted({{'dataclasses', 'inspect', 'json', *{NUMERIC}}} & set(sys.modules)))")
     assert fresh(probe) == "[]\n"
 
 
@@ -75,14 +81,53 @@ def test_a_library_import_leaves_the_collector_alone(module):
 
 
 def test_the_process_entry_freezes_the_imports():
-    # `python -m coordsem laws`, run by runpy so the probe sees the collector after it
-    probe = ("import gc, runpy\n"
-             "try:\n    runpy.run_module('coordsem', run_name='__main__', alter_sys=True)\n"
-             "except SystemExit as exit:\n    code = exit.code\n"
-             "print(code, gc.get_freeze_count() > 0)")
+    # `python -m coordsem laws`, run by runpy; a stand-in for `os._exit`
+    # prints the code and the collector's state at the entry's exit call
+    probe = ("import gc, os, runpy, sys\n"
+             "hard_exit = os._exit\n"
+             "def exit(code):\n"
+             "    print(code, gc.get_freeze_count() > 0)\n"
+             "    sys.stdout.flush()\n"
+             "    hard_exit(code)\n"
+             "os._exit = exit\n"
+             "runpy.run_module('coordsem', run_name='__main__', alter_sys=True)\n"
+             "print('the entry returned without calling os._exit')")
     out = fresh(probe, "laws")
     assert out.startswith("law matrix under classical connectives\n")
     assert out.splitlines()[-1] == "0 True"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_reproduce_never_loads_fractions(fmt):
+    # The searches keep a counterexample as integer counts; nothing that
+    # reproduce reads builds a Fraction.
+    probe = ("import sys\nfrom coordsem.cli import main\n"
+             f"main(['--format', '{fmt}', 'reproduce'])\n"
+             f"print(sorted({set(NUMERIC)!r} & set(sys.modules)))")
+    assert fresh(probe).splitlines()[-1] == "[]"
+
+
+def test_reading_the_drop_beta_witness_loads_fractions():
+    # The witness is built when it is read: the text and JSON of
+    # `prob frege --drop-beta` are the grid point the search stopped at,
+    # as they were when every counterexample was built as a distribution.
+    probe = ("import sys\nfrom coordsem.cli import main\n"
+             "for den in range(1, 13):\n"
+             "    main(['prob', 'frege', '--drop-beta', '--denominator', str(den)])\n"
+             "    main(['--format', 'json', 'prob', 'frege', '--drop-beta',\n"
+             "          '--denominator', str(den)])\n"
+             f"print(sorted({set(NUMERIC)!r} & set(sys.modules)))")
+    out = fresh(probe)
+    expected = ""
+    for den in range(1, 13):
+        expected += (f"frege at denominator {den}: counterexample (1 distributions checked)\n"
+                     "  witness:\n    P(A=1,C=1) = 1\n")
+        expected += json.dumps({"command": "prob", "check": "frege", "denominator": den,
+                                "result": {"checked": 1, "status": "counterexample",
+                                           "witness": [["A=1,C=1", "1"]]}},
+                               indent=2, sort_keys=True) + "\n"
+    expected += f"{list(NUMERIC)}\n"
+    assert out == expected
 
 
 def test_the_script_and_python_m_share_one_process_entry():

@@ -153,7 +153,7 @@ class RationalDist:
 @dataclass(frozen=True)
 class SearchResult:
     status: rl.SearchStatus
-    witness: object
+    point: object
     checked: int
 
 
@@ -225,6 +225,7 @@ def _samples():
         rp.parity_records()[0],
         imp.project(fm.corpus_lookup("6a")),
         rl.check_frege_theorem(6, ("none",)),
+        d,
         rl.llr(d, fm.parse("A"), fm.parse("H")),
         boolean.check_law(fm.DIS2.with_connectives(join="xor")),
     ]

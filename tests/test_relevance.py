@@ -57,6 +57,18 @@ def dist(atoms, **cells):
     return RationalDist.from_cells(atoms, table)
 
 
+def stopped_at(d, denominator, checked):
+    """The result of a search that found grid distribution d as its
+    counterexample, the `checked`-th point to meet its premises: its point
+    is d's masses times the denominator, and its witness is d."""
+    counts = tuple(m * denominator for m in d.masses)
+    assert all(c.denominator == 1 for c in counts)  # d is a grid point
+    result = SearchResult(SearchStatus.COUNTEREXAMPLE,
+                          (d.atoms, tuple(c.numerator for c in counts), denominator), checked)
+    assert result.witness == d
+    return result
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
         RationalDist(("A",), (F(1, 2), F(1, 4)))  # does not sum to 1
@@ -265,7 +277,7 @@ def reference_explosion_on_grid(denominator):
     for d in grid(("A", "B"), denominator):
         checked += 1
         if not check_explosion_irrelevance(d, *events):
-            return SearchResult(SearchStatus.COUNTEREXAMPLE, d, checked)
+            return stopped_at(d, denominator, checked)
     return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked)
 
 
@@ -285,7 +297,7 @@ def test_explosion_on_grid_reads_the_event_masses(monkeypatch):
         (i, d) for i, d in enumerate(grid(("A", "B"), 4), 1)
         if any(prob(d, And(a, e)) != prob(d, a) * prob(d, e) for e in events))
     monkeypatch.setattr(relevance, "_CONTRADICTION", a)
-    assert explosion_on_grid(4) == SearchResult(SearchStatus.COUNTEREXAMPLE, witness, first)
+    assert explosion_on_grid(4) == stopped_at(witness, 4, first)
     assert first < grid_size(2, 4)
 
 
@@ -399,7 +411,7 @@ def reference_frege(denominator, premise_variants):
                 continue
             checked += 1
             if not cond_prob(d, _C, _A) > pc:
-                return SearchResult(SearchStatus.COUNTEREXAMPLE, d, checked)
+                return stopped_at(d, denominator, checked)
     return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked)
 
 
@@ -415,9 +427,9 @@ def reference_corollary(denominator):
         pb_given_a = cond_prob(d, _B, _A)
         pa_given_b = cond_prob(d, _A, _B)
         if not (pb_given_a < pb and pa_given_b < pa):
-            return SearchResult(SearchStatus.COUNTEREXAMPLE, d, checked)
+            return stopped_at(d, denominator, checked)
         if prob(d, both) == 0 and pb_given_a != 0:
-            return SearchResult(SearchStatus.COUNTEREXAMPLE, d, checked)
+            return stopped_at(d, denominator, checked)
     return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked)
 
 
@@ -446,7 +458,7 @@ def reference_ordering(denominator):
         strongest = lr_b if lr_a < lr_b else lr_a
         lr_or, lr_and = llr(d, disj, _H), llr(d, conj, _H)
         if not (lr_or <= strongest and strongest <= lr_and):
-            return SearchResult(SearchStatus.COUNTEREXAMPLE, d, checked), equalities
+            return stopped_at(d, denominator, checked), equalities
         if lr_or.same_relevance(strongest) or strongest.same_relevance(lr_and):
             equalities += 1
     return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, checked), equalities
@@ -538,7 +550,7 @@ def reference_ordering_walk(denominator):
         passed.append(counts)
         s_h, s_nh = (b_h, b_nh) if a_h * b_nh < b_h * a_nh else (a_h, a_nh)
         if not (mass("or_h") * s_nh < s_h * mass("or_nh") and s_h * ab_nh < ab_h * s_nh):
-            return SearchResult(SearchStatus.COUNTEREXAMPLE, _dist(atoms, counts, den),
+            return SearchResult(SearchStatus.COUNTEREXAMPLE, (atoms, counts, den),
                                 len(passed)), passed
     return SearchResult(SearchStatus.NO_COUNTEREXAMPLE, None, len(passed)), passed
 
