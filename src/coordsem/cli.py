@@ -7,6 +7,11 @@ dumps the payload as JSON to a file, before anything is printed. Exit codes:
 0 success, 1 claim mismatch from `reproduce`, 2 usage or parse errors or an
 --out file that cannot be written.
 
+One table, `COMMANDS`, names each subcommand's handler, renderer, help,
+positionals and options; `parse_argv` reads the command line from it and
+`usage` and `-h` are written from it. argparse is not used: its import,
+with `gettext` and `locale`, cost a cold command a few milliseconds.
+
 `run` is the process entry, behind both the `coordsem` script and
 `python -m coordsem`: it freezes everything the imports built out of the
 garbage collector, runs `main`, flushes stdout and stderr and ends the
@@ -17,11 +22,12 @@ it.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
+import re
 import sys
 from itertools import combinations
+from types import SimpleNamespace
 from typing import NoReturn, Optional, Sequence
 
 from . import implicature as imp
@@ -57,7 +63,7 @@ def _resolve(item: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Handlers: each returns a JSON-serializable payload
 
-def _cmd_laws(args: argparse.Namespace) -> dict:
+def _cmd_laws(args: SimpleNamespace) -> dict:
     rows = []
     for law in STANDARD_LAWS:
         schema = law if args.connectives == "classical" else law.with_connectives(join="xor")
@@ -94,7 +100,7 @@ def _item(item: str) -> tuple[Formula, tuple[OptionSet, Judgment], dict]:
                        "options": options.serialize(), "judgment": judgment.serialize()}
 
 
-def _cmd_denote(args: argparse.Namespace) -> dict:
+def _cmd_denote(args: SimpleNamespace) -> dict:
     return {"command": "denote", "items": [_item(i)[2] for i in args.items]}
 
 
@@ -112,7 +118,7 @@ def _render_denote(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_judge(args: argparse.Namespace) -> dict:
+def _cmd_judge(args: SimpleNamespace) -> dict:
     items = [_item(i) for i in args.items]  # each payload before the next parse
     # the pairs reuse their items' option passes
     pairs = [{"left": a, "right": b, **report._comparison(equivalent(f, g), fj, gj).serialize()}
@@ -146,7 +152,7 @@ def _yn(b: bool) -> str:
     return "yes" if b else "no"
 
 
-def _cmd_equiv(args: argparse.Namespace) -> dict:
+def _cmd_equiv(args: SimpleNamespace) -> dict:
     f, g = _resolve(args.left), _resolve(args.right)
     verdict = equivalent(f, g)  # its errors come before the option passes'
     try:
@@ -177,7 +183,7 @@ def _render_equiv(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_implicatures(args: argparse.Namespace) -> dict:
+def _cmd_implicatures(args: SimpleNamespace) -> dict:
     f = _resolve(args.item)
     mode = imp.Mode(args.mode)
     try:
@@ -225,7 +231,7 @@ _SEARCHES = {"frege": check_frege_theorem, "corollary": check_disjunction_coroll
              "explosion": explosion_on_grid, "ordering": check_relevance_ordering}
 
 
-def _cmd_prob(args: argparse.Namespace) -> dict:
+def _cmd_prob(args: SimpleNamespace) -> dict:
     den, search = args.denominator, _SEARCHES[args.check]
     if args.drop_beta and args.check != "frege":
         raise WorkbenchError(f"--drop-beta applies to frege only, not {args.check}")
@@ -245,7 +251,7 @@ def _render_prob(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> dict:
+def _cmd_reproduce(args: SimpleNamespace) -> dict:
     records = report.build_records()
     return {"command": "reproduce",
             "records": [r.serialize() for r in records],
@@ -265,55 +271,244 @@ def _render_reproduce(data: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="coordsem",
-        description="Coordination-semantics workbench: boolean and formal-vector "
-                    "denotations, Gricean implicature projection, and exact-rational "
-                    "relevance checks for and/or/xor sentence schemas.")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output rendering (default: text)")
-    parser.add_argument("--out", metavar="FILE",
-                        help="additionally write the payload as JSON to FILE")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+# ---------------------------------------------------------------------------
+# The command table, and the command line read from it
 
-    p = sub.add_parser("laws", help="verdict matrix for the six lattice laws")
-    p.add_argument("--connectives", choices=("classical", "xor"), default="classical")
-    p.set_defaults(handler=_cmd_laws, render=_render_laws)
+_DESCRIPTION = ("Coordination-semantics workbench: boolean and formal-vector denotations,\n"
+               "Gricean implicature projection, and exact-rational relevance checks for\n"
+               "and/or/xor sentence schemas.")
 
-    p = sub.add_parser("denote", help="option sets of formulas or corpus labels")
-    p.add_argument("items", nargs="+", metavar="ITEM")
-    p.set_defaults(handler=_cmd_denote, render=_render_denote)
+# An option is (flag, values, default, help): values is a tuple of choices,
+# `int`, the metavar of free text, or None for a flag that takes no value
+# and is True when given. The global options come before the command.
+GLOBAL_OPTIONS = (
+    ("--format", ("text", "json"), "text", "output rendering"),
+    ("--out", "FILE", None, "additionally write the payload as JSON to FILE"),
+)
 
-    p = sub.add_parser("judge", help="acceptability judgments, plus pairwise comparisons")
-    p.add_argument("items", nargs="+", metavar="ITEM")
-    p.set_defaults(handler=_cmd_judge, render=_render_judge)
+# A command is (handler, renderer, help, positionals, options), and a
+# positional is (name, count, values): count 1 or "+", values a tuple of
+# choices or the metavar of free text.
+COMMANDS = {
+    "laws": (_cmd_laws, _render_laws, "verdict matrix for the six lattice laws", (),
+             (("--connectives", ("classical", "xor"), "classical",
+               "the laws as stated, or with xor as their join"),)),
+    "denote": (_cmd_denote, _render_denote, "option sets of formulas or corpus labels",
+               (("items", "+", "ITEM"),), ()),
+    "judge": (_cmd_judge, _render_judge, "acceptability judgments, plus pairwise comparisons",
+              (("items", "+", "ITEM"),), ()),
+    "equiv": (_cmd_equiv, _render_equiv, "boolean and option equivalence of two items",
+              (("left", 1, "LEFT"), ("right", 1, "RIGHT")), ()),
+    "implicatures": (_cmd_implicatures, _render_implicatures,
+                     "assertion-precedence implicature projection", (("item", 1, "ITEM"),),
+                     (("--mode", ("gazdar", "soames"), "gazdar", "projection mode"),
+                      ("--opinionated", "IDS", "",
+                       "soames mode only (exit 2 otherwise): comma-separated ids of\n"
+                       "the formula's or-nodes the speaker is opinionated about"))),
+    "prob": (_cmd_prob, _render_prob, "exact-rational relevance checks on probability grids",
+             (("check", 1, tuple(_SEARCHES)),),
+             (("--denominator", int, 6, "denominator of the grid, 1 to 12"),
+              ("--drop-beta", None, False,
+               "frege only (exit 2 otherwise): drop the uncertainty premise"))),
+    "reproduce": (_cmd_reproduce, _render_reproduce,
+                  "run every claim check; nonzero exit on mismatch", (), ()),
+}
 
-    p = sub.add_parser("equiv", help="boolean and option equivalence of two items")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(handler=_cmd_equiv, render=_render_equiv)
+_HELP = ("--help", None, False, "show this help and exit")
+# argparse's test for a negative number, which is a value, not an option;
+# compiled on first use, which most command lines never make
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
 
-    p = sub.add_parser("implicatures", help="assertion-precedence implicature projection")
-    p.add_argument("item")
-    p.add_argument("--mode", choices=("gazdar", "soames"), default="gazdar")
-    p.add_argument("--opinionated", default="",
-                   help="comma-separated or-node ids the speaker is opinionated about "
-                        "(soames mode only; exit 2 otherwise or on an id the formula lacks)")
-    p.set_defaults(handler=_cmd_implicatures, render=_render_implicatures)
 
-    p = sub.add_parser("prob", help="exact-rational relevance checks on probability grids")
-    p.add_argument("check", choices=tuple(_SEARCHES))
-    p.add_argument("--denominator", type=int, default=6)
-    p.add_argument("--drop-beta", action="store_true",
-                   help="frege only: drop the uncertainty premise (expect a counterexample); "
-                        "exit 2 with any other check")
-    p.set_defaults(handler=_cmd_prob, render=_render_prob)
+class UsageExit(Exception):
+    """A request for help (`error` None: exit 0) or a malformed command line
+    (exit 2). `command` names the command whose usage applies, None for the
+    global options."""
 
-    p = sub.add_parser("reproduce", help="run every claim check; nonzero exit on mismatch")
-    p.set_defaults(handler=_cmd_reproduce, render=_render_reproduce)
+    def __init__(self, command: Optional[str], error: Optional[str] = None) -> None:
+        super().__init__(error)
+        self.command, self.error = command, error
 
-    return parser
+
+def _shown(values: object) -> str:
+    """How usage and help show a value: its choices or its metavar."""
+    if values is int:
+        return "N"
+    if isinstance(values, tuple):
+        return "{" + ",".join(values) + "}"
+    return values
+
+
+def usage(command: Optional[str] = None) -> str:
+    """The usage line of `command`, or of the global options before one."""
+    if command is None:
+        words = [f"[{flag} {_shown(values)}]" for flag, values, _, _ in GLOBAL_OPTIONS]
+        return " ".join(["coordsem", *words, "COMMAND ..."])
+    _, _, _, positionals, options = COMMANDS[command]
+    words = ["coordsem", command]
+    for _, count, values in positionals:
+        words.append(_shown(values) + (f" [{_shown(values)} ...]" if count == "+" else ""))
+    for flag, values, _, _ in options:
+        words.append(f"[{flag}]" if values is None else f"[{flag} {_shown(values)}]")
+    return " ".join(words)
+
+
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        lines = [f"usage: {usage()}", "", _DESCRIPTION, "", "commands:"]
+        lines += [f"  {name:<14}{spec[2]}" for name, spec in COMMANDS.items()]
+        options = GLOBAL_OPTIONS
+    else:
+        lines = [f"usage: {usage(command)}", "", COMMANDS[command][2]]
+        options = COMMANDS[command][4]
+    rows = [("-h, --help", _HELP[3])]
+    for flag, values, default, text in options:
+        rows.append((flag if values is None else f"{flag} {_shown(values)}",
+                     text if default in (None, False, "") else f"{text} (default: {default})"))
+    width = max(len(left) for left, _ in rows)
+    lines += ["", "options:"]
+    for left, text in rows:
+        lines.append(f"  {left:<{width}}  " + text.replace("\n", "\n" + " " * (width + 4)))
+    return "\n".join(lines) + "\n"
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _option(token: str, flags: dict, command: Optional[str]) -> Optional[tuple]:
+    """None if `token` is a positional. If it is an option, (flag, value):
+    the flag it names exactly or by a unique prefix, or None if it names
+    none, and the text after its `=`, or None. A prefix of two flags is an
+    error."""
+    if not token.startswith("-") or token == "-":
+        return None
+    if token in flags:
+        return token, None
+    flag, eq, value = token.partition("=")
+    if eq and flag in flags:
+        return flag, value
+    if token.startswith("--"):
+        matches = [known for known in flags if known.startswith(flag)]
+        if len(matches) > 1:
+            raise UsageExit(command, f"ambiguous option: {token} could match "
+                                     f"{', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    if re.match(_NEGATIVE, token) or " " in token:
+        return None
+    return None, None
+
+
+def _value(command: Optional[str], name: str, values: object, text: str) -> object:
+    if values is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageExit(command, f"argument {name}: invalid int value: {text!r}")
+    if isinstance(values, tuple) and text not in values:
+        raise UsageExit(command, f"argument {name}: invalid choice: {text!r} "
+                                 f"(choose from {', '.join(map(repr, values))})")
+    return text
+
+
+def _read(tokens: list[str], command: Optional[str], args: SimpleNamespace,
+          unknown: list[str]) -> int:
+    """Reads `tokens` into `args`. With `command` None they are the global
+    options, read up to the first positional, the command's name, whose
+    index is returned (len(tokens) if there is none); otherwise they are
+    the command's positionals and options. Unknown options are added to
+    `unknown`."""
+    positionals, options = COMMANDS[command][3:] if command else ((), GLOBAL_OPTIONS)
+    flags = {"-h": _HELP, "--help": _HELP, **{spec[0]: spec for spec in options}}
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    kinds = [_option(token, flags, command) for token in tokens[:end]]
+    kinds += [None] * (len(tokens) - end)  # every token after "--" is a positional
+    filled = 0  # positionals filled; a "+" one counts once it is closed
+    run = None  # the "+" positional's list while consecutive tokens extend it
+    taken = False  # whether the previous token went to a positional
+    i = 0
+    while i < len(tokens):
+        token, kind = tokens[i], kinds[i]
+        i += 1
+        if kind is not None:
+            taken = False
+            if run is not None:  # an option ends the run
+                run, filled = None, filled + 1
+            flag, value = kind
+            spec = flags.get(flag)
+            if spec is None:
+                unknown.append(token)
+            elif spec[1] is None:
+                if value is not None:
+                    raise UsageExit(command, f"argument {flag}: ignored explicit argument "
+                                             f"{value!r}")
+                if spec is _HELP:
+                    raise UsageExit(command)
+                setattr(args, _dest(flag), True)
+            else:
+                if value is None:
+                    if i == end or kinds[i] is not None:
+                        raise UsageExit(command, f"argument {flag}: expected one argument")
+                    value, i = tokens[i], i + 1
+                setattr(args, _dest(flag), _value(command, flag, spec[1], value))
+        elif command is None:
+            return i - 1
+        elif i - 1 == end:
+            # the first "--" is dropped if a positional takes a token beside it
+            if not (taken or (filled < len(positionals) and i < len(tokens))):
+                unknown.append(token)
+        elif run is not None or filled < len(positionals):
+            name, count, values = positionals[filled]
+            value = _value(command, name, values, token)
+            if run is not None:
+                run.append(value)
+            elif count == "+":
+                run = [value]
+                setattr(args, name, run)
+            else:
+                setattr(args, name, value)
+                filled += 1
+            taken = True
+        else:
+            unknown.append(token)
+            taken = False
+    missing = positionals[filled + (run is not None):]
+    if missing:
+        raise UsageExit(command, "the following arguments are required: "
+                                 + ", ".join(_shown(values) for _, _, values in missing))
+    return len(tokens)
+
+
+def parse_argv(argv: Sequence[str]) -> SimpleNamespace:
+    """The namespace a handler reads, with its `handler` and `render`: the
+    global options, then a command from `COMMANDS` and its positionals and
+    options, in any order. Raises `UsageExit` for help or a malformed
+    command line.
+
+    The syntax is argparse's for the parser the table describes: `--opt
+    value` and `--opt=value`, unique prefixes of a flag, help that answers
+    as soon as it is read, and every token after `--` a positional. A token
+    that starts with `-` is an option unless it reads as a negative number
+    or holds a space. Unknown options are refused last, after any other
+    error and after help."""
+    tokens = list(argv)
+    args = SimpleNamespace(**{_dest(spec[0]): spec[2] for spec in GLOBAL_OPTIONS})
+    unknown: list[str] = []
+    at = _read(tokens, None, args, unknown)
+    if at == len(tokens):
+        raise UsageExit(None, "the following arguments are required: COMMAND")
+    command = tokens[at]
+    if command not in COMMANDS:
+        raise UsageExit(None, f"argument COMMAND: invalid choice: {command!r} "
+                              f"(choose from {', '.join(map(repr, COMMANDS))})")
+    args.handler, args.render, _, _, options = COMMANDS[command]
+    for flag, _, default, _ in options:
+        setattr(args, _dest(flag), default)
+    _read(tokens[at + 1:], command, args, unknown)
+    if unknown:
+        raise UsageExit(command, f"unrecognized arguments: {' '.join(unknown)}")
+    return args
 
 
 def _json(payload: dict) -> str:
@@ -325,8 +520,14 @@ def _json(payload: dict) -> str:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parse_argv(sys.argv[1:] if argv is None else argv)
+    except UsageExit as stop:
+        if stop.error is None:
+            sys.stdout.write(_help(stop.command))
+            return 0
+        sys.stderr.write(f"usage: {usage(stop.command)}\ncoordsem: error: {stop.error}\n")
+        return 2
     try:
         payload = args.handler(args)
     except WorkbenchError as err:

@@ -235,10 +235,7 @@ def _in_process(*argv: str) -> tuple[int, bytes, bytes]:
     """The same three of `main(argv)` called in this process."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as exit:  # argparse ends a usage error this way
-            code = exit.code
+        code = main(list(argv))
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
@@ -271,13 +268,14 @@ AGREEMENT_CASES = {
     "large-json": (("--format", "json", "judge", LARGE), 0),
     "large-out": (("--out", "{}", "--format", "json", "judge", LARGE), 0),
     "usage": (("prob", "nosuchcheck"), 2),
+    "help": (("prob", "-h"), 0),
     "workbench": (("prob", "corollary", "--drop-beta"), 2),
 }
 
 
 @pytest.mark.parametrize("case", AGREEMENT_CASES)
 def test_criterion_10_process_agrees_with_main(case, tmp_path, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")  # one terminal width for both, should output follow it
     argv, status = AGREEMENT_CASES[case]
     files = {side: tmp_path / f"{side}.json" for side in ("process", "main")}
     process = _process(*(a.format(files["process"]) for a in argv))

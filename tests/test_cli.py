@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import gc
 import io
 import json
+import re
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -278,10 +281,11 @@ def test_parse_error_exits_2(capsys):
     assert "position" in err
 
 
-def test_unknown_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_subcommand_exits_2(capsys):
+    code, out, err = run(capsys, "frobnicate")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: coordsem ")
+    assert "\ncoordsem: error: argument COMMAND: invalid choice: 'frobnicate' " in err
 
 
 def test_tampered_corpus_is_detected(capsys, monkeypatch):
@@ -353,9 +357,218 @@ _TOKENS = ["A", "B", "C:iterable", "D:stative", "and", "or", "xor", "not", "(", 
 @settings(deadline=None)
 @given(st.one_of(st.text(), st.lists(st.sampled_from(_TOKENS), max_size=30).map(" ".join)))
 def test_equiv_on_arbitrary_text_exits_0_or_2(text):
-    try:
-        code, _ = run_quietly("equiv", text, "A")
-    except SystemExit as exc:
-        # argparse exits 2 on text that reads as an unknown option and 0 on -h
-        code = exc.code
+    # text that reads as an unknown option exits 2, and -h exits 0
+    code, _ = run_quietly("equiv", text, "A")
     assert code in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# The command table reads the command line as the argparse parser it
+# replaced did. That parser is kept here as the oracle.
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="coordsem")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--out", metavar="FILE")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p = sub.add_parser("laws")
+    p.add_argument("--connectives", choices=("classical", "xor"), default="classical")
+    p.set_defaults(handler=cli._cmd_laws, render=cli._render_laws)
+
+    p = sub.add_parser("denote")
+    p.add_argument("items", nargs="+", metavar="ITEM")
+    p.set_defaults(handler=cli._cmd_denote, render=cli._render_denote)
+
+    p = sub.add_parser("judge")
+    p.add_argument("items", nargs="+", metavar="ITEM")
+    p.set_defaults(handler=cli._cmd_judge, render=cli._render_judge)
+
+    p = sub.add_parser("equiv")
+    p.add_argument("left")
+    p.add_argument("right")
+    p.set_defaults(handler=cli._cmd_equiv, render=cli._render_equiv)
+
+    p = sub.add_parser("implicatures")
+    p.add_argument("item")
+    p.add_argument("--mode", choices=("gazdar", "soames"), default="gazdar")
+    p.add_argument("--opinionated", default="")
+    p.set_defaults(handler=cli._cmd_implicatures, render=cli._render_implicatures)
+
+    p = sub.add_parser("prob")
+    p.add_argument("check", choices=("frege", "corollary", "explosion", "ordering"))
+    p.add_argument("--denominator", type=int, default=6)
+    p.add_argument("--drop-beta", action="store_true")
+    p.set_defaults(handler=cli._cmd_prob, render=cli._render_prob)
+
+    p = sub.add_parser("reproduce")
+    p.set_defaults(handler=cli._cmd_reproduce, render=cli._render_reproduce)
+
+    return parser
+
+
+# every field main() or a handler reads
+FIELDS = ("format", "out", "handler", "render", "connectives", "items", "left", "right",
+          "item", "mode", "opinionated", "check", "denominator", "drop_beta")
+
+
+def fields(args) -> dict:
+    return {name: getattr(args, name) for name in FIELDS if hasattr(args, name)}
+
+
+def oracle(argv: list[str]):
+    """argparse's reading of `argv`: the fields, or the exit code."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as stop:
+            return stop.code
+    read = fields(args)
+    # A second "--" taken alone by a one-token positional: argparse drops
+    # it from that positional's tokens too and leaves an empty list, which
+    # the handler fails on with a traceback. The table keeps the "--".
+    for name in ("left", "right", "item"):
+        if read.get(name) == []:
+            read[name] = "--"
+    return read
+
+
+def table(argv: list[str]):
+    """`cli.parse_argv`'s reading of `argv`: the fields, or the exit code."""
+    try:
+        args = cli.parse_argv(argv)
+    except cli.UsageExit as stop:
+        return 0 if stop.error is None else 2
+    return fields(args)
+
+
+COMMAND_NAMES = ("laws", "denote", "judge", "equiv", "implicatures", "prob", "reproduce")
+ALPHABET = (
+    *COMMAND_NAMES,
+    "--format", "--out", "--connectives", "--mode", "--opinionated", "--denominator",
+    "--drop-beta", "--form", "--conn", "--den", "--drop", "--d",
+    "--format=json", "--format=xml", "--out=x.json", "--conn=xor", "--mode=soames",
+    "--mode=", "--opinionated=0", "--den=8", "--denominator=x", "--d=4", "--drop-beta=1",
+    "text", "json", "classical", "xor", "gazdar", "soames", "frege", "corollary",
+    "explosion", "ordering", "nosuch", "7", "-3", "x", "1a", "2b", "5c", "A or B",
+    "-h", "--help", "-x", "--nosuch", "--",
+)
+TOKENS = st.sampled_from(ALPHABET)
+ARGVS = st.one_of(
+    st.lists(TOKENS, max_size=6),
+    st.tuples(st.lists(TOKENS, max_size=2), st.sampled_from(COMMAND_NAMES),
+              st.lists(TOKENS, max_size=3)).map(lambda t: [*t[0], t[1], *t[2]]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ARGVS)
+def test_the_table_reads_argv_as_argparse_did(argv):
+    assert table(argv) == oracle(argv)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # "--" ends the options; it is dropped where a positional takes a token beside it
+    (["prob", "--", "ordering"], {"check": "ordering"}),
+    (["prob", "ordering", "--"], {"check": "ordering"}),
+    (["judge", "--", "-x", "--h"], {"items": ["-x", "--h"]}),
+    (["judge", "2a", "--", "--", "2b"], {"items": ["2a", "--", "2b"]}),
+    (["equiv", "1a", "--", "-3"], {"left": "1a", "right": "-3"}),
+    (["implicatures", "--mode", "soames", "--", "--mode"], {"item": "--mode", "mode": "soames"}),
+    (["prob", "frege", "--", "--drop-beta"], 2),
+    (["prob", "frege", "--drop-beta", "--"], 2),
+    (["reproduce", "--"], 2),
+    (["--", "reproduce"], 2),
+    (["judge", "--"], 2),
+    # unique prefixes, and a prefix of two flags
+    (["prob", "ordering", "--den", "8", "--dr"], {"denominator": 8, "drop_beta": True}),
+    (["--form=json", "laws", "--conn=xor"], {"format": "json", "connectives": "xor"}),
+    (["prob", "ordering", "--d", "8"], 2),
+    (["prob", "ordering", "--d=8"], 2),
+    (["prob", "--d", "-h"], 2),
+    # global options after the command
+    (["laws", "--format", "json"], 2),
+    (["reproduce", "--out", "x.json"], 2),
+    (["judge", "2a", "--format=json"], 2),
+    # negative numbers are values and positionals
+    (["prob", "ordering", "--denominator", "-3"], {"denominator": -3}),
+    (["--out", "-1", "denote", "-1"], {"out": "-1", "items": ["-1"]}),
+    # help answers at once; unknown options are refused after it
+    (["-x", "laws", "-h"], 0),
+    (["prob", "--nosuch", "--help"], 0),
+    (["prob", "nosuch", "-h"], 2),
+    (["--format", "xml", "-h"], 2),
+])
+def test_the_table_and_argparse_agree_on(argv, expected):
+    read = table(argv)
+    assert read == oracle(argv)
+    if isinstance(expected, int):
+        assert read == expected
+    else:
+        assert expected.items() <= read.items()
+
+
+def test_a_second_dash_dash_taken_alone_is_formula_text(capsys):
+    # argparse gave `right` an empty list here, and the handler a traceback
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert build_parser().parse_args(["equiv", "1a", "--", "--"]).right == []
+    assert cli.parse_argv(["equiv", "1a", "--", "--"]).right == "--"
+    code, out, err = run(capsys, "equiv", "1a", "--", "--")
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected character '-' (at position 0)\n"
+
+
+def test_help_joined_to_more_letters_is_an_unknown_option(capsys):
+    # argparse read -hh as -h -h; the table knows -h and --help alone
+    assert oracle(["-hh"]) == 0
+    assert table(["-hh"]) == 2
+    code, out, err = run(capsys, "laws", "-hh")
+    assert (code, out) == (2, "")
+    assert err.endswith("coordsem: error: unrecognized arguments: -hh\n")
+
+
+@pytest.mark.parametrize("argv", [["prob", "nosuch"], ["judge"], ["prob", "ordering", "--d", "8"],
+                                  ["--format"], []], ids=" ".join)
+def test_a_usage_error_prints_usage_and_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    usage_line, error_line = err.splitlines()
+    command = argv[0] if argv and argv[0] in cli.COMMANDS else None
+    assert usage_line == f"usage: {cli.usage(command)}"
+    assert error_line.startswith("coordsem: error: ")
+
+
+def words_of(parser: argparse.ArgumentParser) -> tuple[set[str], dict]:
+    """Every flag and choice of `parser`'s arguments, and its commands' parsers."""
+    words, commands = set(), {}
+    for action in parser._actions:
+        words.update(action.option_strings)
+        words.update(action.choices or ())
+        if isinstance(action, argparse._SubParsersAction):
+            commands = action.choices
+    return words, commands
+
+
+def unnamed(words: set[str], text: str) -> list[str]:
+    return sorted(w for w in words if not re.search(rf"(?<![\w-]){re.escape(w)}(?![\w-])", text))
+
+
+def test_help_names_every_command_option_and_choice(capsys):
+    words, commands = words_of(build_parser())
+    assert set(commands) == set(COMMAND_NAMES)
+    for flag in ("-h", "--help"):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: {cli.usage()}\n")
+        assert unnamed(words, out) == []
+    for command, parser in commands.items():
+        code, out, err = run(capsys, command, "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: {cli.usage(command)}\n")
+        assert unnamed(words_of(parser)[0], out) == []
+
+
+def test_the_readme_shows_the_usage_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Command line\n\n```\n(.*?)```\n", readme, re.M | re.S).group(1)
+    assert block.splitlines() == [cli.usage(), *map(cli.usage, cli.COMMANDS)]

@@ -2,8 +2,9 @@
 uses. A stdlib `ast` scan stands in for a linter, so the check needs no
 extra dependency. A cold import of the command line loads no heavy module
 and leaves the garbage collector alone; only the process entry freezes it,
-and it ends the process through `os._exit`. `reproduce` loads no
-`fractions`; only reading a search's witness does."""
+and it ends the process through `os._exit`. The command line never loads
+argparse. `reproduce` loads no `fractions`; only reading a search's
+witness does."""
 
 from __future__ import annotations
 
@@ -65,12 +66,26 @@ def fresh(probe: str, *args: str) -> str:
 
 
 NUMERIC = ("decimal", "fractions", "numbers")
+ARGPARSE = ("argparse", "gettext", "locale")
 
 
 def test_cold_cli_import_stays_light():
     probe = ("import sys\nimport coordsem.cli\n"
              f"print(sorted({{'dataclasses', 'inspect', 'json', *{NUMERIC}}} & set(sys.modules)))")
     assert fresh(probe) == "[]\n"
+
+
+def test_the_command_line_loads_no_argparse():
+    # the import, a command, help and a usage error
+    probe = ("import io, sys\nfrom contextlib import redirect_stderr, redirect_stdout\n"
+             "import coordsem.cli\n"
+             f"loaded = lambda: sorted({set(ARGPARSE)!r} & set(sys.modules))\n"
+             "print(loaded())\n"
+             "for argv in (['reproduce'], ['-h'], ['prob', 'nosuch']):\n"
+             "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+             "        code = coordsem.cli.main(argv)\n"
+             "    print(code, loaded())\n")
+    assert fresh(probe) == "[]\n0 []\n0 []\n2 []\n"
 
 
 @pytest.mark.parametrize("module", ["coordsem", "coordsem.cli"])
