@@ -11,6 +11,9 @@ suppresses any candidate that would make the set unsatisfiable by a belief
 model (a nonempty set of worlds: K phi holds iff phi is true at every
 world, notK phi iff phi fails somewhere). `consistent` finds the least
 belief model greedily, so the only atom limit is `boolean.ATOM_LIMIT`.
+`project` asks only for the yes/no verdict over the formula's atoms, from
+the truth masks of each tested set; `consistent` still returns the least
+model, for callers that want the witness.
 
 Strong exclusivity is a defeasible default in `gazdar` mode; in `soames`
 mode it is emitted only for or-nodes the caller declares the speaker
@@ -137,6 +140,24 @@ def _needs(k_mask: int, notk_masks: Iterable[int]) -> Optional[list[int]]:
     return needs if all(needs) else None
 
 
+def _verdict(
+    constraints: Sequence[EpistemicConstraint],
+    names: Sequence[str],
+) -> Optional[tuple[int, list[int]]]:
+    """The verdict on the constraints over `names`, which must include every
+    atom of their bodies: the K-worlds and the needs (see `_needs`), or None
+    if the set is unsatisfiable. No belief model is built."""
+    # truth_mask refuses more than ATOM_LIMIT names before the universe is formed.
+    k_masks = [truth_mask(c.body, names) for c in constraints if c.polarity is Polarity.K]
+    notk_masks = [truth_mask(c.body, names) for c in constraints
+                  if c.polarity is Polarity.NOT_K]
+    k_mask = (1 << 2 ** len(names)) - 1
+    for m in k_masks:
+        k_mask &= m
+    needs = _needs(k_mask, notk_masks)
+    return None if needs is None else (k_mask, needs)
+
+
 def consistent(
     constraints: Iterable[EpistemicConstraint],
 ) -> tuple[bool, Optional[BeliefModel]]:
@@ -155,16 +176,10 @@ def consistent(
     i, and the need has no world below i, so T misses that need."""
     constraints = list(constraints)
     names = sorted({a for c in constraints for a in atom_names(c.body)})
-    # truth_mask refuses more than ATOM_LIMIT names before the universe is formed.
-    k_masks = [truth_mask(c.body, names) for c in constraints if c.polarity is Polarity.K]
-    notk_masks = [truth_mask(c.body, names) for c in constraints
-                  if c.polarity is Polarity.NOT_K]
-    k_mask = (1 << 2 ** len(names)) - 1
-    for m in k_masks:
-        k_mask &= m
-    needs = _needs(k_mask, notk_masks)
-    if needs is None:
+    verdict = _verdict(constraints, names)
+    if verdict is None:
         return False, None
+    k_mask, needs = verdict
     model = 0
     for need in sorted(needs, key=lambda need: need & -need, reverse=True):
         if not model & need:
@@ -241,7 +256,12 @@ def project(
     """Assertion-precedence projection: assertions are accepted outright;
     clausal, then weak-scalar, then strong-scalar candidates are accepted
     one at a time iff the accepted set stays satisfiable, suppressed
-    candidates carrying their minimal clash set."""
+    candidates carrying their minimal clash set.
+
+    Each test asks only for `_verdict`, over f's atoms: every tested set
+    contains K(f) and every body is built from f's subformulas, so these are
+    the atoms `consistent` would collect. No belief model is built; call
+    `consistent` on the accepted set for the least one."""
     scalar = potential_scalar(f, mode, opinionated)
     tiers = [
         potential_clausal(f),
@@ -249,14 +269,13 @@ def project(
         [c for c in scalar if c.provenance is Provenance.SCALAR_STRONG],
     ]
     accepted = assertions(f)
-    ok, _ = consistent(accepted)
-    if not ok:
+    names = atom_names(f)
+    if _verdict(accepted, names) is None:
         raise WorkbenchError("asserted content is epistemically unsatisfiable")
     suppressed = []
     for tier in tiers:
         for candidate in tier:
-            ok, _ = consistent(accepted + [candidate])
-            if ok:
+            if _verdict([*accepted, candidate], names) is not None:
                 accepted.append(candidate)
             else:
                 suppressed.append(Suppression(

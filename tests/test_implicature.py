@@ -14,6 +14,7 @@ from coordsem import (
     Atom,
     AtomLimitError,
     AtomNode,
+    ImplicatureReport,
     Mode,
     Not,
     Or,
@@ -29,12 +30,18 @@ from coordsem import (
     project,
     eval_formula,
     unparse,
+    WorkbenchError,
     Xor,
 )
 from coordsem.boolean import ATOM_LIMIT, truth_mask
-from coordsem.formula import atom_names, subformulas
+from coordsem.formula import atom_names, or_nodes, subformulas
 from coordsem import implicature
-from coordsem.implicature import EpistemicConstraint, _minimal_clash_set, _ordered_or_paths
+from coordsem.implicature import (
+    EpistemicConstraint,
+    Suppression,
+    _minimal_clash_set,
+    _ordered_or_paths,
+)
 
 
 def _c(polarity, text, provenance=Provenance.ASSERTION, source=()):
@@ -363,6 +370,100 @@ def test_projection_invariants_hold_generally(f, mode):
     assert ok
     for a in assertions(f):
         assert a in report.accepted
+
+
+def reference_project(f, mode=Mode.GAZDAR, opinionated=()):
+    """The projection loop with one `consistent` call per candidate, each
+    over the tested set's own atoms and building the least belief model."""
+    scalar = potential_scalar(f, mode, opinionated)
+    tiers = [
+        potential_clausal(f),
+        [c for c in scalar if c.provenance is Provenance.SCALAR_WEAK],
+        [c for c in scalar if c.provenance is Provenance.SCALAR_STRONG],
+    ]
+    accepted = assertions(f)
+    ok, _ = consistent(accepted)
+    if not ok:
+        raise WorkbenchError("asserted content is epistemically unsatisfiable")
+    suppressed = []
+    for tier in tiers:
+        for candidate in tier:
+            ok, _ = consistent(accepted + [candidate])
+            if ok:
+                accepted.append(candidate)
+            else:
+                suppressed.append(Suppression(
+                    candidate, _minimal_clash_set(accepted, candidate)))
+    return ImplicatureReport(mode, tuple(accepted), tuple(suppressed))
+
+
+def _outcome(run, f, mode, opinionated=()):
+    """The serialized report, order included, or the error's type and message."""
+    try:
+        return run(f, mode, opinionated).serialize()
+    except WorkbenchError as err:
+        return type(err), str(err)
+
+
+def _assert_projects_as_the_reference(f, mode, opinionated=()):
+    assert _outcome(project, f, mode, opinionated) == \
+        _outcome(reference_project, f, mode, opinionated)
+
+
+def _every_or_node(f):
+    return tuple(range(len(or_nodes(f))))
+
+
+def test_project_matches_the_reference_on_the_corpus():
+    for label in CORPUS_LABELS:
+        f = corpus_lookup(label)
+        _assert_projects_as_the_reference(f, Mode.GAZDAR)
+        _assert_projects_as_the_reference(f, Mode.SOAMES)
+        _assert_projects_as_the_reference(f, Mode.SOAMES, _every_or_node(f))
+
+
+@given(st.data(), _any_formula, st.sampled_from(list(Mode)))
+def test_project_matches_the_reference_on_formulas(data, f, mode):
+    ids = _every_or_node(f)
+    opinionated = data.draw(st.lists(st.sampled_from(ids), unique=True)) if ids else ()
+    _assert_projects_as_the_reference(f, mode, tuple(opinionated))
+
+
+@pytest.mark.parametrize("ors", range(1, 13))
+def test_project_matches_the_reference_on_one_atom_or_chains(ors):
+    f = parse(" or ".join(["A"] * (ors + 1)))
+    _assert_projects_as_the_reference(f, Mode.GAZDAR)
+    _assert_projects_as_the_reference(f, Mode.SOAMES)
+    _assert_projects_as_the_reference(f, Mode.SOAMES, tuple(range(0, ors, 2)))
+
+
+@pytest.mark.parametrize("text, error", [
+    (" and ".join(f"P{i}" for i in range(ATOM_LIMIT + 1)), AtomLimitError),
+    ("A and not A", WorkbenchError),
+])
+def test_project_refuses_as_the_reference(text, error):
+    for mode in Mode:
+        got = _outcome(project, parse(text), mode)
+        assert got[0] is error
+        assert got == _outcome(reference_project, parse(text), mode)
+
+
+@pytest.mark.parametrize("label", ["2b", "6a"])
+def test_project_builds_no_belief_model(label):
+    # Each candidate gets a yes/no verdict over f's atoms, collected once:
+    # no `consistent` call, no witness world, and on 2b, where no clash set
+    # is shrunk, one `atom_names` call in all.
+    with mock.patch.object(implicature, "consistent", wraps=consistent) as consistent_spy, \
+            mock.patch.object(implicature, "world", wraps=implicature.world) as world_spy, \
+            mock.patch.object(implicature, "atom_names", wraps=atom_names) as names_spy:
+        report = project(corpus_lookup(label))
+    assert consistent_spy.call_count == 0
+    assert world_spy.call_count == 0
+    if label == "2b":
+        assert report.suppressed == ()
+        assert names_spy.call_count == 1
+    else:
+        assert report.suppressed
 
 
 def reference_minimal_clash_set(accepted, candidate):
