@@ -36,14 +36,15 @@ class Atom(Record):
     """A propositional letter with an aspect class.
 
     Statives ("is affable") resist additive repetition in the vector
-    semantics; iterables ("talks") permit it.
+    semantics; iterables ("talks") permit it. The name is a word that is
+    not a keyword, so `unparse`'s text parses back to the atom.
     """
 
     name: str
     aspect: str = STATIVE
 
     def __post_init__(self) -> None:
-        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", self.name):
+        if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", self.name) or self.name in _KINDS:
             raise ValueError(f"bad atom name: {self.name!r}")
         if self.aspect not in ASPECTS:
             raise ValueError(f"bad aspect: {self.aspect!r}")

@@ -9,11 +9,12 @@ the speaker knows they do not both hold). Projection feeds potential
 constraints into the accepted set one at a time, assertions first, and
 suppresses any candidate that would make the set unsatisfiable by a belief
 model (a nonempty set of worlds: K phi holds iff phi is true at every
-world, notK phi iff phi fails somewhere). `consistent` finds the least
-belief model greedily, so the only atom limit is `boolean.ATOM_LIMIT`.
-`project` asks only for the yes/no verdict over the formula's atoms, from
-the truth masks of each tested set; `consistent` still returns the least
-model, for callers that want the witness.
+world, notK phi iff phi fails somewhere). One rule, `_verdict`, decides
+that from the truth masks of the bodies. `project` asks it for a yes/no
+answer per candidate, over the formula's atoms, and shrinks a suppressed
+candidate's clash set on the masks its failed test computed. `consistent`
+also builds the least belief model from it, greedily, for callers that
+want the witness, so the only atom limit is `boolean.ATOM_LIMIT`.
 
 Strong exclusivity is a defeasible default in `gazdar` mode; in `soames`
 mode it is emitted only for or-nodes the caller declares the speaker
@@ -128,34 +129,28 @@ def potential_scalar(
     return out
 
 
-def _needs(k_mask: int, notk_masks: Iterable[int]) -> Optional[list[int]]:
-    """The verdict rule, over the K-worlds `k_mask` (where every K-body holds)
-    and the notK bodies' truth masks. The set is satisfiable iff some K-world
-    exists and every notK body fails at some K-world; then every K-world
-    together is a model. Returns the needs, the K-worlds where each notK body
-    fails, or None if the set is unsatisfiable."""
+def _masks(constraints: Iterable[EpistemicConstraint],
+           names: Sequence[str]) -> list[tuple[bool, int]]:
+    """Each constraint as (is it K, its body's truth mask over `names`),
+    which must include every atom of the bodies."""
+    return [(c.polarity is Polarity.K, truth_mask(c.body, names)) for c in constraints]
+
+
+def _verdict(masks: Sequence[tuple[bool, int]], universe: int) -> Optional[tuple[int, list[int]]]:
+    """The verdict rule, over `_masks` and the mask of all worlds. The
+    K-worlds are the worlds where every K body holds, and a notK body's need
+    is the K-worlds where it fails. The set is satisfiable iff some K-world
+    exists and every need is nonempty; then every K-world together is a
+    model. Returns the K-worlds and the needs, or None if the set is
+    unsatisfiable. No belief model is built."""
+    k_mask = universe
+    for known, m in masks:
+        if known:
+            k_mask &= m
     if not k_mask:
         return None
-    needs = [k_mask & ~m for m in notk_masks]
-    return needs if all(needs) else None
-
-
-def _verdict(
-    constraints: Sequence[EpistemicConstraint],
-    names: Sequence[str],
-) -> Optional[tuple[int, list[int]]]:
-    """The verdict on the constraints over `names`, which must include every
-    atom of their bodies: the K-worlds and the needs (see `_needs`), or None
-    if the set is unsatisfiable. No belief model is built."""
-    # truth_mask refuses more than ATOM_LIMIT names before the universe is formed.
-    k_masks = [truth_mask(c.body, names) for c in constraints if c.polarity is Polarity.K]
-    notk_masks = [truth_mask(c.body, names) for c in constraints
-                  if c.polarity is Polarity.NOT_K]
-    k_mask = (1 << 2 ** len(names)) - 1
-    for m in k_masks:
-        k_mask &= m
-    needs = _needs(k_mask, notk_masks)
-    return None if needs is None else (k_mask, needs)
+    needs = [k_mask & ~m for known, m in masks if not known]
+    return (k_mask, needs) if all(needs) else None
 
 
 def consistent(
@@ -176,7 +171,8 @@ def consistent(
     i, and the need has no world below i, so T misses that need."""
     constraints = list(constraints)
     names = sorted({a for c in constraints for a in atom_names(c.body)})
-    verdict = _verdict(constraints, names)
+    masks = _masks(constraints, names)  # refuses > ATOM_LIMIT names before the universe
+    verdict = _verdict(masks, (1 << 2 ** len(names)) - 1)
     if verdict is None:
         return False, None
     k_mask, needs = verdict
@@ -219,33 +215,23 @@ class ImplicatureReport(Record):
         }
 
 
-def _minimal_clash_set(
-    accepted: Sequence[EpistemicConstraint],
-    candidate: EpistemicConstraint,
-) -> tuple[EpistemicConstraint, ...]:
-    """Shrink the accepted set to a minimal subset still inconsistent with
-    the candidate, dropping later-accepted constraints first so the blame
-    lands on the earliest (highest-precedence) partners.
+def _minimal_clash_set(masks: Sequence[tuple[bool, int]], universe: int) -> list[int]:
+    """Shrink a set that fails `_verdict`, given as its `_masks` with the
+    candidate last, to a minimal subset still inconsistent with the
+    candidate, dropping later-accepted constraints first so the blame lands
+    on the earliest (highest-precedence) partners. Returns the indices of
+    the accepted constraints kept, in order.
 
-    Each truth table is computed once, over the atoms of the whole set, and
-    each trial is tested on those masks with `_needs`. A trial's verdict is
-    the one `consistent` gives it over its own atoms, because atoms that no
-    body mentions do not change satisfiability."""
-    constraints = [*accepted, candidate]
-    names = sorted({a for c in constraints for a in atom_names(c.body)})
-    masks = [truth_mask(c.body, names) for c in constraints]
-    known = [c.polarity is Polarity.K for c in constraints]
-    universe = (1 << 2 ** len(names)) - 1
-    kept = list(range(len(constraints)))  # indices; the candidate is last
-    for i in reversed(range(len(accepted))):
+    Each trial is `_verdict` on a sublist of the masks given: no truth table
+    is computed and no atom collected. A trial's verdict is the one
+    `consistent` gives it over its own atoms, because atoms that no body
+    mentions do not change satisfiability."""
+    kept = list(range(len(masks)))  # the candidate is last
+    for i in reversed(range(len(masks) - 1)):
         trial = [j for j in kept if j != i]
-        k_mask = universe
-        for j in trial:
-            if known[j]:
-                k_mask &= masks[j]
-        if _needs(k_mask, [masks[j] for j in trial if not known[j]]) is None:
+        if _verdict([masks[j] for j in trial], universe) is None:
             kept = trial
-    return tuple(constraints[j] for j in kept[:-1])
+    return kept[:-1]
 
 
 def project(
@@ -258,10 +244,13 @@ def project(
     one at a time iff the accepted set stays satisfiable, suppressed
     candidates carrying their minimal clash set.
 
-    Each test asks only for `_verdict`, over f's atoms: every tested set
-    contains K(f) and every body is built from f's subformulas, so these are
-    the atoms `consistent` would collect. No belief model is built; call
-    `consistent` on the accepted set for the least one."""
+    f's atoms and the universe are formed once: every tested set contains
+    K(f) and every body is built from f's subformulas, so these are the
+    atoms `consistent` would collect. Each candidate computes the `_masks`
+    of the accepted set with it once and asks `_verdict`; a failed test
+    hands the same masks to `_minimal_clash_set`, so a suppression computes
+    no further truth table. No belief model is built; call `consistent` on
+    the accepted set for the least one."""
     scalar = potential_scalar(f, mode, opinionated)
     tiers = [
         potential_clausal(f),
@@ -270,14 +259,17 @@ def project(
     ]
     accepted = assertions(f)
     names = atom_names(f)
-    if _verdict(accepted, names) is None:
+    masks = _masks(accepted, names)  # refuses > ATOM_LIMIT names before the universe
+    universe = (1 << 2 ** len(names)) - 1
+    if _verdict(masks, universe) is None:
         raise WorkbenchError("asserted content is epistemically unsatisfiable")
     suppressed = []
     for tier in tiers:
         for candidate in tier:
-            if _verdict([*accepted, candidate], names) is not None:
+            masks = _masks([*accepted, candidate], names)
+            if _verdict(masks, universe) is not None:
                 accepted.append(candidate)
             else:
-                suppressed.append(Suppression(
-                    candidate, _minimal_clash_set(accepted, candidate)))
+                kept = _minimal_clash_set(masks, universe)
+                suppressed.append(Suppression(candidate, tuple(accepted[j] for j in kept)))
     return ImplicatureReport(mode, tuple(accepted), tuple(suppressed))

@@ -91,6 +91,16 @@ def test_parse_aspect_annotations():
     assert parse("A") == A  # stative by default
 
 
+@pytest.mark.parametrize("word", ["and", "or", "xor", "not"])
+def test_a_keyword_is_no_atom_name(word):
+    # `or and B` would be the text of such an atom and B, which parse refuses.
+    with pytest.raises(ValueError, match="bad atom name"):
+        Atom(word)
+    for name in (word.upper(), word + "1", "stative"):  # near misses stay names
+        f = And(AtomNode(Atom(name)), B)
+        assert parse(unparse(f)) == f
+
+
 def test_parse_conflicting_aspects_rejected():
     # reported at the annotation that conflicts
     for text, position in (("A:stative and A:iterable", 14),

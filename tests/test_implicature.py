@@ -374,7 +374,8 @@ def test_projection_invariants_hold_generally(f, mode):
 
 def reference_project(f, mode=Mode.GAZDAR, opinionated=()):
     """The projection loop with one `consistent` call per candidate, each
-    over the tested set's own atoms and building the least belief model."""
+    over the tested set's own atoms and building the least belief model, and
+    the shrink of `reference_minimal_clash_set`."""
     scalar = potential_scalar(f, mode, opinionated)
     tiers = [
         potential_clausal(f),
@@ -393,7 +394,7 @@ def reference_project(f, mode=Mode.GAZDAR, opinionated=()):
                 accepted.append(candidate)
             else:
                 suppressed.append(Suppression(
-                    candidate, _minimal_clash_set(accepted, candidate)))
+                    candidate, reference_minimal_clash_set(accepted, candidate)))
     return ImplicatureReport(mode, tuple(accepted), tuple(suppressed))
 
 
@@ -451,19 +452,23 @@ def test_project_refuses_as_the_reference(text, error):
 @pytest.mark.parametrize("label", ["2b", "6a"])
 def test_project_builds_no_belief_model(label):
     # Each candidate gets a yes/no verdict over f's atoms, collected once:
-    # no `consistent` call, no witness world, and on 2b, where no clash set
-    # is shrunk, one `atom_names` call in all.
+    # no `consistent` call, no witness world and one `atom_names` call in
+    # all. On 6a, `A or A`, the truth tables are the assertion's and those of
+    # the four tested sets (2, 2, 3 and 3 bodies); the three suppressions
+    # reuse their failed tests' masks.
     with mock.patch.object(implicature, "consistent", wraps=consistent) as consistent_spy, \
             mock.patch.object(implicature, "world", wraps=implicature.world) as world_spy, \
-            mock.patch.object(implicature, "atom_names", wraps=atom_names) as names_spy:
+            mock.patch.object(implicature, "atom_names", wraps=atom_names) as names_spy, \
+            mock.patch.object(implicature, "truth_mask", wraps=truth_mask) as mask_spy:
         report = project(corpus_lookup(label))
     assert consistent_spy.call_count == 0
     assert world_spy.call_count == 0
+    assert names_spy.call_count == 1
     if label == "2b":
         assert report.suppressed == ()
-        assert names_spy.call_count == 1
     else:
-        assert report.suppressed
+        assert len(report.suppressed) == 3
+        assert mask_spy.call_count == 11
 
 
 def reference_minimal_clash_set(accepted, candidate):
@@ -481,18 +486,30 @@ def reference_minimal_clash_set(accepted, candidate):
 
 def _shrinks(f, mode):
     """The report of projecting f, and each clash-set shrink it made: the
-    accepted set and candidate it was given, and the clash set it returned."""
+    accepted set and candidate whose masks it was given, over f's atoms, and
+    the clash set its kept indices name in that accepted set."""
     calls = []
 
-    def spy(accepted, candidate):
-        clash = _minimal_clash_set(accepted, candidate)
-        calls.append((list(accepted), candidate, clash))
-        return clash
+    def spy(masks, universe):
+        kept = _minimal_clash_set(masks, universe)
+        calls.append((masks, universe, kept))
+        return kept
 
     with mock.patch.object(implicature, "_minimal_clash_set", spy):
         report = project(f, mode)
     assert len(calls) == len(report.suppressed)
-    return report, calls
+    names = atom_names(f)
+    shrinks = []
+    for (masks, universe, kept), suppression in zip(calls, report.suppressed):
+        # The accepted set only grows, so the shrink's is a prefix of the final one.
+        accepted = list(report.accepted[:len(masks) - 1])
+        assert masks == [(c.polarity is Polarity.K, truth_mask(c.body, names))
+                         for c in accepted + [suppression.constraint]]
+        assert universe == (1 << 2 ** len(names)) - 1
+        clash = tuple(accepted[j] for j in kept)
+        assert clash == suppression.clashes_with
+        shrinks.append((accepted, suppression.constraint, clash))
+    return report, shrinks
 
 
 def _assert_shrinks_match_the_reference(f, mode):
@@ -531,19 +548,18 @@ def test_clash_sets_are_minimal(f, mode):
             assert consistent(rest + [s.constraint])[0]
 
 
-def test_a_shrink_evaluates_each_truth_table_once():
-    # The shrink's trials reuse the masks, so its truth-table work is linear
-    # in the accepted set, not quadratic.
-    _, calls = _shrinks(parse(" or ".join(["A"] * 13)), Mode.GAZDAR)
-    accepted, candidate, _ = calls[-1]
+def test_a_shrink_computes_no_truth_table_and_collects_no_atoms():
+    # The shrink's trials are sublists of the masks it is given, so its
+    # truth-table work is that of the failed test that called it.
+    f = parse(" or ".join(["A"] * 13))
+    _, calls = _shrinks(f, Mode.GAZDAR)
+    accepted, candidate, clash = calls[-1]
     assert len(accepted) > 20
-    bodies = []
-
-    def counting(f, names):
-        bodies.append(f)
-        return truth_mask(f, names)
-
-    with mock.patch.object(implicature, "truth_mask", counting):
-        _minimal_clash_set(accepted, candidate)
-    assert len(bodies) == len(accepted) + 1
-    assert all(b is c.body for b, c in zip(bodies, accepted + [candidate]))
+    names = atom_names(f)
+    masks = [(c.polarity is Polarity.K, truth_mask(c.body, names))
+             for c in accepted + [candidate]]
+    with mock.patch.object(implicature, "truth_mask", wraps=truth_mask) as mask_spy, \
+            mock.patch.object(implicature, "atom_names", wraps=atom_names) as names_spy:
+        kept = _minimal_clash_set(masks, (1 << 2 ** len(names)) - 1)
+    assert mask_spy.call_count == names_spy.call_count == 0
+    assert tuple(accepted[j] for j in kept) == clash
