@@ -10,7 +10,9 @@ dumps the payload as JSON to a file, before anything is printed. Exit codes:
 One table, `COMMANDS`, names each subcommand's handler, renderer, help,
 positionals and options; `parse_argv` reads the command line from it and
 `usage` and `-h` are written from it. argparse is not used: its import,
-with `gettext` and `locale`, cost a cold command a few milliseconds.
+with `gettext` and `locale`, cost a cold command a few milliseconds. The
+reader is argparse's classify-then-match algorithm (see `_read`), and
+`tests/test_cli.py` keeps an argparse parser of the table as its oracle.
 
 `run` is the process entry, behind both the `coordsem` script and
 `python -m coordsem`: it freezes everything the imports built out of the
@@ -414,69 +416,57 @@ def _value(command: Optional[str], name: str, values: object, text: str) -> obje
 
 def _read(tokens: list[str], command: Optional[str], args: SimpleNamespace,
           unknown: list[str]) -> int:
-    """Reads `tokens` into `args`. With `command` None they are the global
-    options, read up to the first positional, the command's name, whose
-    index is returned (len(tokens) if there is none); otherwise they are
-    the command's positionals and options. Unknown options are added to
-    `unknown`."""
+    """Reads `tokens` into `args` as argparse does. Each token is an option,
+    a positional (A) or the first `--` (-). Each run of positionals fills
+    the longest prefix of the unfilled positionals whose nargs patterns,
+    `(-*A-*)` for a count of 1 and `(-*A[A-]*)` for "+", match it; the
+    first `--` goes into no value. Unknown options and whatever a run leaves
+    are added to `unknown`. With `command` None the tokens are the global
+    options, read up to the command's name, whose index is returned
+    (len(tokens) if there is none)."""
     positionals, options = COMMANDS[command][3:] if command else ((), GLOBAL_OPTIONS)
     flags = {"-h": _HELP, "--help": _HELP, **{spec[0]: spec for spec in options}}
     end = tokens.index("--") if "--" in tokens else len(tokens)
-    kinds = [_option(token, flags, command) for token in tokens[:end]]
-    kinds += [None] * (len(tokens) - end)  # every token after "--" is a positional
-    filled = 0  # positionals filled; a "+" one counts once it is closed
-    run = None  # the "+" positional's list while consecutive tokens extend it
-    taken = False  # whether the previous token went to a positional
+    kinds = [_option(token, flags, command) if i < end else None for i, token in enumerate(tokens)]
+    pattern = "".join("O" if kind else "-" if i == end else "A" for i, kind in enumerate(kinds))
     i = 0
     while i < len(tokens):
-        token, kind = tokens[i], kinds[i]
+        if pattern[i] != "O":
+            if command is None:
+                return i
+            run = pattern[i:].split("O")[0]
+            n = len(positionals)
+            while not (match := re.match("".join("(-*A-*)" if count == 1 else "(-*A[A-]*)"
+                                                 for _, count, _ in positionals[:n]), run)):
+                n -= 1
+            for group, (name, count, values) in enumerate(positionals[:n], 1):
+                taken = [_value(command, name, values, tokens[k])
+                         for k in range(i + match.start(group), i + match.end(group)) if k != end]
+                setattr(args, name, taken if count == "+" else taken[0])
+            positionals = positionals[n:]
+            unknown += tokens[i + match.end():i + len(run)]
+            i += len(run)
+            continue
+        flag, value = kinds[i]
         i += 1
-        if kind is not None:
-            taken = False
-            if run is not None:  # an option ends the run
-                run, filled = None, filled + 1
-            flag, value = kind
-            spec = flags.get(flag)
-            if spec is None:
-                unknown.append(token)
-            elif spec[1] is None:
-                if value is not None:
-                    raise UsageExit(command, f"argument {flag}: ignored explicit argument "
-                                             f"{value!r}")
-                if spec is _HELP:
-                    raise UsageExit(command)
-                setattr(args, _dest(flag), True)
-            else:
-                if value is None:
-                    if i == end or kinds[i] is not None:
-                        raise UsageExit(command, f"argument {flag}: expected one argument")
-                    value, i = tokens[i], i + 1
-                setattr(args, _dest(flag), _value(command, flag, spec[1], value))
-        elif command is None:
-            return i - 1
-        elif i - 1 == end:
-            # the first "--" is dropped if a positional takes a token beside it
-            if not (taken or (filled < len(positionals) and i < len(tokens))):
-                unknown.append(token)
-        elif run is not None or filled < len(positionals):
-            name, count, values = positionals[filled]
-            value = _value(command, name, values, token)
-            if run is not None:
-                run.append(value)
-            elif count == "+":
-                run = [value]
-                setattr(args, name, run)
-            else:
-                setattr(args, name, value)
-                filled += 1
-            taken = True
+        spec = flags.get(flag)
+        if spec is None:
+            unknown.append(tokens[i - 1])
+        elif spec[1] is None:
+            if value is not None:
+                raise UsageExit(command, f"argument {flag}: ignored explicit argument {value!r}")
+            if spec is _HELP:
+                raise UsageExit(command)
+            setattr(args, _dest(flag), True)
         else:
-            unknown.append(token)
-            taken = False
-    missing = positionals[filled + (run is not None):]
-    if missing:
+            if value is None:
+                if pattern[i:i + 1] != "A":
+                    raise UsageExit(command, f"argument {flag}: expected one argument")
+                value, i = tokens[i], i + 1
+            setattr(args, _dest(flag), _value(command, flag, spec[1], value))
+    if positionals:
         raise UsageExit(command, "the following arguments are required: "
-                                 + ", ".join(_shown(values) for _, _, values in missing))
+                                 + ", ".join(_shown(values) for _, _, values in positionals))
     return len(tokens)
 
 

@@ -51,6 +51,15 @@ class Mode(Enum):
     SOAMES = "soames"
 
 
+def _mode(mode: Mode | str) -> Mode:
+    """`mode` as a `Mode`; its value names it too, as in `project(f, "soames")`."""
+    try:
+        return Mode(mode)
+    except ValueError:
+        raise WorkbenchError(f"unknown projection mode {mode!r}; the modes are "
+                             + ", ".join(m.value for m in Mode)) from None
+
+
 class EpistemicConstraint(Record):
     """polarity(body), tagged with how it arose and the path of the
     subformula (for clausal/scalar: the generating or-node) it came from."""
@@ -108,7 +117,7 @@ def potential_clausal(f: Formula) -> list[EpistemicConstraint]:
 
 def potential_scalar(
     f: Formula,
-    mode: Mode = Mode.GAZDAR,
+    mode: Mode | str = Mode.GAZDAR,
     opinionated: Sequence[int] = (),
 ) -> list[EpistemicConstraint]:
     """Exclusivity constraints per or-node over disjuncts psi, chi. The weak
@@ -116,7 +125,9 @@ def potential_scalar(
     K(not (psi and chi)) by default in gazdar mode, and in soames mode only
     for or-nodes listed as opinionated by number (see `formula.or_nodes`).
     Each entry has its own node's path, and a node's two entries differ in
-    polarity, so none repeat."""
+    polarity, so none repeat. `mode` may be a `Mode` or its value; any
+    other raises `WorkbenchError`."""
+    mode = _mode(mode)
     strong = {path for n, (path, _) in enumerate(or_nodes(f)) if n in opinionated}
     out = []
     for path, node in _ordered_or_paths(f):
@@ -236,7 +247,7 @@ def _minimal_clash_set(masks: Sequence[tuple[bool, int]], universe: int) -> list
 
 def project(
     f: Formula,
-    mode: Mode = Mode.GAZDAR,
+    mode: Mode | str = Mode.GAZDAR,
     opinionated: Sequence[int] = (),
 ) -> ImplicatureReport:
     """Assertion-precedence projection: assertions are accepted outright;
@@ -250,7 +261,9 @@ def project(
     of the accepted set with it once and asks `_verdict`; a failed test
     hands the same masks to `_minimal_clash_set`, so a suppression computes
     no further truth table. No belief model is built; call `consistent` on
-    the accepted set for the least one."""
+    the accepted set for the least one. `mode` is read as in
+    `potential_scalar`."""
+    mode = _mode(mode)
     scalar = potential_scalar(f, mode, opinionated)
     tiers = [
         potential_clausal(f),

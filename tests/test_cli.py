@@ -8,6 +8,7 @@ import io
 import json
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -467,6 +468,29 @@ def test_the_table_reads_argv_as_argparse_did(argv):
     assert table(argv) == oracle(argv)
 
 
+# One token of each kind: exact flag, prefix, ambiguous prefix, "=" form,
+# choice, bad choice, int, negative number, spaced text, help, unknown
+# option and "--". Every argv of a command and up to 2 of them, or of up to
+# 2 of them and `reproduce`, takes about a second against argparse.
+SHORT_ALPHABET = (
+    "--format", "--denominator", "--drop-beta", "--form", "--den", "--d",
+    "--format=json", "--conn=xor", "--mode=soames", "--den=8", "--drop-beta=1",
+    "json", "soames", "ordering", "nosuch", "7", "-3", "A or B", "-h", "-x", "--",
+)
+
+
+def test_the_table_reads_every_short_argv_as_argparse_did():
+    assert set(SHORT_ALPHABET) <= set(ALPHABET)
+    parser = build_parser()
+    argvs = [[command, *rest] for command in COMMAND_NAMES
+             for n in range(3) for rest in product(SHORT_ALPHABET, repeat=n)]
+    argvs += [[*first, "reproduce"] for n in (1, 2) for first in product(SHORT_ALPHABET, repeat=n)]
+    with mock.patch(f"{__name__}.build_parser", return_value=parser):
+        for argv in argvs:
+            assert table(argv) == oracle(argv), argv
+    assert len(argvs) == 3703
+
+
 @pytest.mark.parametrize("argv, expected", [
     # "--" ends the options; it is dropped where a positional takes a token beside it
     (["prob", "--", "ordering"], {"check": "ordering"}),
@@ -506,6 +530,13 @@ def test_the_table_and_argparse_agree_on(argv, expected):
         assert read == expected
     else:
         assert expected.items() <= read.items()
+
+
+def test_a_run_fills_the_positionals_it_can():
+    # argparse fills `left` from the run before the option, so only `right`
+    # is missing
+    with pytest.raises(cli.UsageExit, match="^the following arguments are required: RIGHT$"):
+        cli.parse_argv(["equiv", "1a", "-x"])
 
 
 def test_a_second_dash_dash_taken_alone_is_formula_text(capsys):

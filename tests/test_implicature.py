@@ -42,6 +42,7 @@ from coordsem.implicature import (
     _minimal_clash_set,
     _ordered_or_paths,
 )
+from small_scope import and_or_formulas
 
 
 def _c(polarity, text, provenance=Provenance.ASSERTION, source=()):
@@ -322,6 +323,25 @@ def test_project_soames_mode_defers_strong_form():
     assert len(report.accepted_by(Provenance.SCALAR_STRONG)) == 1
 
 
+@pytest.mark.parametrize("mode, strong", [(Mode.GAZDAR, 1), (Mode.SOAMES, 0)])
+def test_a_mode_may_be_given_by_its_value(mode, strong):
+    f = parse("A or B")
+    report = project(f, mode)
+    assert len(report.accepted_by(Provenance.SCALAR_STRONG)) == strong
+    assert project(f, mode.value) == report
+    assert project(f, mode.value).serialize() == report.serialize()
+    assert report.serialize()["mode"] == mode.value
+    assert potential_scalar(f, mode.value) == potential_scalar(f, mode)
+
+
+@pytest.mark.parametrize("mode", ["GAZDAR", "stalnaker", None])
+def test_an_unknown_mode_is_refused(mode):
+    for call in (project, potential_scalar):
+        with pytest.raises(WorkbenchError, match=r"^unknown projection mode .*; "
+                                                 r"the modes are gazdar, soames$"):
+            call(parse("A or B"), mode)
+
+
 def test_assertions_never_suppressed():
     for label in ("1a", "2b", "5a", "5c", "6a", "6c"):
         report = project(corpus_lookup(label))
@@ -436,6 +456,20 @@ def test_project_matches_the_reference_on_one_atom_or_chains(ors):
     _assert_projects_as_the_reference(f, Mode.GAZDAR)
     _assert_projects_as_the_reference(f, Mode.SOAMES)
     _assert_projects_as_the_reference(f, Mode.SOAMES, tuple(range(0, ors, 2)))
+
+
+def test_project_matches_the_reference_on_every_small_formula():
+    # each formula in gazdar mode, soames mode and soames mode with every
+    # or-node opinionated
+    checked = suppressed = 0
+    for f in and_or_formulas(3):
+        for mode, opinionated in ((Mode.GAZDAR, ()), (Mode.SOAMES, ()),
+                                  (Mode.SOAMES, _every_or_node(f))):
+            got = _outcome(project, f, mode, opinionated)
+            assert got == _outcome(reference_project, f, mode, opinionated)
+            checked += 1
+            suppressed += len(got["suppressed"])
+    assert (checked, suppressed) == (711, 732)
 
 
 @pytest.mark.parametrize("text, error", [

@@ -32,6 +32,7 @@ from coordsem import (
 from coordsem import prospect
 from coordsem.boolean import assignments, truth_mask
 from coordsem.formula import STATIVE, atom_names, atoms, or_nodes
+from small_scope import and_or_formulas
 
 A, B, C = (AtomNode(Atom(n)) for n in "ABC")
 
@@ -264,6 +265,14 @@ def test_options_match_the_enumerator(f):
     assert judge(f) == _reference_judge(f)
 
 
+def test_options_match_the_enumerator_on_every_small_formula():
+    formulas = and_or_formulas(3)
+    for f in formulas:
+        assert denote_options(f).prospects == reference_options(f)
+        assert judge(f) == _reference_judge(f)
+    assert len(formulas) == 237
+
+
 @pytest.mark.parametrize("text, nodes", [
     # the branches' options are {A, B} on both sides, first reached under
     # different assignments, so the two dicts differ in their values only
@@ -389,20 +398,8 @@ def test_arithmetic_distributivity_of_options(x, y, z):
 # truth table, which is the disjunction over options of the conjunction of
 # each option's atoms.
 
-def _and_or_texts(leaves):
-    """Every fully bracketed and/or formula with `leaves` leaves over A, B, C."""
-    if leaves == 1:
-        yield from "ABC"
-        return
-    for k in range(1, leaves):
-        for left in _and_or_texts(k):
-            for right in _and_or_texts(leaves - k):
-                yield f"({left} and {right})"
-                yield f"({left} or {right})"
-
-
 def test_option_equivalent_formulas_are_boolean_equivalent():
-    formulas = [parse(t) for leaves in range(1, 5) for t in _and_or_texts(leaves)]
+    formulas = and_or_formulas(4)
     tables = {}  # option set -> the truth table of every formula denoting it
     for f in formulas:
         table = truth_mask(f, ("A", "B", "C"))
@@ -410,9 +407,20 @@ def test_option_equivalent_formulas_are_boolean_equivalent():
     assert (len(formulas), len(tables)) == (3477, 218)
 
 
-@given(_denotable)
-def test_the_option_set_fixes_the_truth_table(f):
+def _assert_the_option_set_fixes_the_truth_table(f):
     options = denote_options(f)
     for v in assignments(sorted(atom_names(f))):
         assert eval_formula(f, v) == any(all(v[name] for name, _ in p.parts)
                                          for p in options)
+
+
+@given(_denotable)
+def test_the_option_set_fixes_the_truth_table(f):
+    _assert_the_option_set_fixes_the_truth_table(f)
+
+
+def test_the_option_set_fixes_the_truth_table_of_every_small_formula():
+    formulas = and_or_formulas(3)
+    for f in formulas:
+        _assert_the_option_set_fixes_the_truth_table(f)
+    assert len(formulas) == 237
