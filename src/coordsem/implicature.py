@@ -126,9 +126,19 @@ def potential_scalar(
     for or-nodes listed as opinionated by number (see `formula.or_nodes`).
     Each entry has its own node's path, and a node's two entries differ in
     polarity, so none repeat. `mode` may be a `Mode` or its value; any
-    other raises `WorkbenchError`."""
+    other raises `WorkbenchError`, as does an opinionated id outside soames
+    mode or one that numbers none of f's or-nodes."""
     mode = _mode(mode)
-    strong = {path for n, (path, _) in enumerate(or_nodes(f)) if n in opinionated}
+    numbered = or_nodes(f)
+    ids = range(len(numbered))
+    for n in opinionated:
+        if mode is not Mode.SOAMES:
+            raise WorkbenchError(f"opinionated or-node ids apply to soames mode only, "
+                                 f"got {n!r} in {mode.value} mode")
+        if n not in ids:
+            raise WorkbenchError(f"no or-node {n!r}: the or-node ids of {unparse(f)!r} "
+                                 f"are {list(ids) or 'none'}")
+    strong = {path for n, (path, _) in enumerate(numbered) if n in opinionated}
     out = []
     for path, node in _ordered_or_paths(f):
         both = And(node.left, node.right)
@@ -261,8 +271,8 @@ def project(
     of the accepted set with it once and asks `_verdict`; a failed test
     hands the same masks to `_minimal_clash_set`, so a suppression computes
     no further truth table. No belief model is built; call `consistent` on
-    the accepted set for the least one. `mode` is read as in
-    `potential_scalar`."""
+    the accepted set for the least one. `mode` and `opinionated` are read,
+    and refused, as in `potential_scalar`."""
     mode = _mode(mode)
     scalar = potential_scalar(f, mode, opinionated)
     tiers = [

@@ -152,8 +152,8 @@ def test_or_paths_come_in_path_order(f):
                          key=lambda pn: pn[0])
     assert _ordered_or_paths(f) == path_sorted
     # one or-node per path and two polarities per node: nothing to deduplicate
-    for mode in Mode:
-        scalar = potential_scalar(f, mode, opinionated=(0,))
+    for mode, opinionated in ((Mode.GAZDAR, ()), (Mode.SOAMES, _every_or_node(f))):
+        scalar = potential_scalar(f, mode, opinionated)
         assert scalar == list(dict.fromkeys(scalar))
 
 
@@ -340,6 +340,42 @@ def test_an_unknown_mode_is_refused(mode):
         with pytest.raises(WorkbenchError, match=r"^unknown projection mode .*; "
                                                  r"the modes are gazdar, soames$"):
             call(parse("A or B"), mode)
+
+
+@pytest.mark.parametrize("text, mode, opinionated, message", [
+    ("A or B", Mode.SOAMES, (5,), "no or-node 5: the or-node ids of 'A or B' are [0]"),
+    ("A or B", Mode.SOAMES, (-1,), "no or-node -1: the or-node ids of 'A or B' are [0]"),
+    ("(A or B) or C", "soames", (0, 2),
+     "no or-node 2: the or-node ids of '(A or B) or C' are [0, 1]"),
+    ("A and B", "soames", (0,), "no or-node 0: the or-node ids of 'A and B' are none"),
+    ("A or B", "soames", "0", "no or-node '0': the or-node ids of 'A or B' are [0]"),
+    ("A or B", Mode.GAZDAR, (0,),
+     "opinionated or-node ids apply to soames mode only, got 0 in gazdar mode"),
+    ("A and B", "gazdar", (3,),
+     "opinionated or-node ids apply to soames mode only, got 3 in gazdar mode"),
+], ids=["past-the-end", "negative", "one-of-two", "no-or-node", "a-string", "gazdar",
+        "gazdar-no-or-node"])
+def test_a_bad_opinionated_id_is_refused(text, mode, opinionated, message):
+    for call in (project, potential_scalar):
+        with pytest.raises(WorkbenchError) as err:
+            call(parse(text), mode, opinionated)
+        assert str(err.value) == message
+
+
+def test_each_opinionated_id_adds_the_strong_form_of_its_or_node():
+    # every or-node of every formula with at most 3 leaves, by itself, then
+    # all of them in any iterable
+    for f in and_or_formulas(3):
+        numbered = or_nodes(f)
+        for n, (path, node) in enumerate(numbered):
+            scalar = potential_scalar(f, Mode.SOAMES, (n,))
+            assert [c for c in scalar if c.provenance is Provenance.SCALAR_STRONG] == [
+                EpistemicConstraint(Polarity.K, Not(And(node.left, node.right)),
+                                    Provenance.SCALAR_STRONG, path)]
+        every = potential_scalar(f, Mode.SOAMES, _every_or_node(f))
+        assert every == potential_scalar(f, Mode.GAZDAR)
+        assert potential_scalar(f, "soames", range(len(numbered))) == every
+        assert potential_scalar(f, "soames", list(reversed(range(len(numbered))))) == every
 
 
 def test_assertions_never_suppressed():

@@ -9,6 +9,7 @@ frozenness, construction and the checks run after it.
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
@@ -333,6 +334,14 @@ def test_keyword_construction_and_defaults(cls, args, kwargs):
     assert repr(cls(*args, **kwargs)) == repr(TWINS[cls](*args, **kwargs))
 
 
+def _assert_raises_as_the_twin(cls, args, kwargs):
+    with pytest.raises(TypeError) as mine:
+        cls(*args, **kwargs)
+    with pytest.raises(TypeError) as theirs:
+        TWINS[cls](*args, **kwargs)
+    assert str(mine.value) == str(theirs.value)
+
+
 @pytest.mark.parametrize("args, kwargs", [
     ((), {}),  # name missing
     (("A", fm.STATIVE, 1), {}),  # one too many
@@ -340,9 +349,35 @@ def test_keyword_construction_and_defaults(cls, args, kwargs):
     (("A",), {"colour": "red"}),  # no such field
 ])
 def test_bad_calls_raise_type_error(args, kwargs):
-    for cls in (fm.Atom, Atom):
-        with pytest.raises(TypeError):
-            cls(*args, **kwargs)
+    _assert_raises_as_the_twin(fm.Atom, args, kwargs)
+
+
+BAD_CALLS = [
+    (fm.And, (), {}),  # two required fields
+    (fm.And, (_a,), {}),
+    (fm.And, (_a, _b, _a), {}),
+    (fm.And, (), {"right": _b}),
+    (boolean.LawVerdict, (), {"binding": None}),  # defaults
+    (boolean.LawVerdict, (boolean.Verdict.VALID, None, None, None), {}),
+    (boolean.LawVerdict, (boolean.Verdict.VALID, None), {"counterexample": None}),
+    (fm.LawSchema, ("L",), {"connective_map": ()}),  # a __post_init__
+    (fm.LawSchema, ("L", _a, _b), {"name": "M"}),
+    (fm.LawSchema, ("L", _a, _b, (), None), {}),
+]
+
+
+@pytest.mark.parametrize("cls, args, kwargs", BAD_CALLS,
+                         ids=[f"{c.__name__}-{i}" for i, (c, _, _) in enumerate(BAD_CALLS)])
+def test_bad_calls_to_more_classes_raise_as_in_the_twin(cls, args, kwargs):
+    _assert_raises_as_the_twin(cls, args, kwargs)
+
+
+def test_signatures_match_the_twin():
+    def parameters(cls):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+
+    for cls, other in TWINS.items():
+        assert parameters(cls) == parameters(other), cls.__name__
 
 
 _F = Fraction
