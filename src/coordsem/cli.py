@@ -187,21 +187,13 @@ def _render_equiv(data: dict) -> str:
 
 def _cmd_implicatures(args: SimpleNamespace) -> dict:
     f = _resolve(args.item)
-    mode = imp.Mode(args.mode)
     try:
         opinionated = tuple(int(x) for x in args.opinionated.split(",")) \
             if args.opinionated else ()
     except ValueError:
         raise WorkbenchError(
             f"--opinionated expects comma-separated or-node ids, got {args.opinionated!r}")
-    if opinionated and mode is not imp.Mode.SOAMES:
-        raise WorkbenchError("--opinionated applies to soames mode only")
-    ids = range(len(or_nodes(f)))
-    unknown = [i for i in opinionated if i not in ids]
-    if unknown:
-        raise WorkbenchError(f"--opinionated names or-node {unknown[0]}, but the or-node ids "
-                             f"of {unparse(f)!r} are {list(ids) or 'none'}")
-    rep = imp.project(f, mode, opinionated)
+    rep = imp.project(f, args.mode, opinionated)
     return {"command": "implicatures", "input": args.item, "formula": unparse(f),
             **rep.serialize()}
 

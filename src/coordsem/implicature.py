@@ -10,11 +10,13 @@ constraints into the accepted set one at a time, assertions first, and
 suppresses any candidate that would make the set unsatisfiable by a belief
 model (a nonempty set of worlds: K phi holds iff phi is true at every
 world, notK phi iff phi fails somewhere). One rule, `_verdict`, decides
-that from the truth masks of the bodies. `project` asks it for a yes/no
-answer per candidate, over the formula's atoms, and shrinks a suppressed
-candidate's clash set on the masks its failed test computed. `consistent`
-also builds the least belief model from it, greedily, for callers that
-want the witness, so the only atom limit is `boolean.ATOM_LIMIT`.
+that from the truth masks of the bodies. `project` keeps the accepted
+set's masks, over the formula's atoms, so each candidate computes one truth
+table, its own, and asks the rule for a yes/no answer; a suppressed
+candidate's clash set is shrunk on the masks of its failed test.
+`consistent` also builds the least belief model from the rule's answer,
+greedily, for callers that want the witness, so the only atom limit is
+`boolean.ATOM_LIMIT`.
 
 Strong exclusivity is a defeasible default in `gazdar` mode; in `soames`
 mode it is emitted only for or-nodes the caller declares the speaker
@@ -267,10 +269,13 @@ def project(
 
     f's atoms and the universe are formed once: every tested set contains
     K(f) and every body is built from f's subformulas, so these are the
-    atoms `consistent` would collect. Each candidate computes the `_masks`
-    of the accepted set with it once and asks `_verdict`; a failed test
-    hands the same masks to `_minimal_clash_set`, so a suppression computes
-    no further truth table. No belief model is built; call `consistent` on
+    atoms `consistent` would collect. The accepted set's `_masks` are kept
+    from one candidate to the next, so a candidate computes one truth
+    table, its own body's, and asks `_verdict` of the kept masks with it.
+    An accepted candidate's mask joins the kept ones; a failed test hands
+    its masks to `_minimal_clash_set`, so a suppression computes no further
+    truth table. A projection thus computes one truth table per assertion
+    and per candidate. No belief model is built; call `consistent` on
     the accepted set for the least one. `mode` and `opinionated` are read,
     and refused, as in `potential_scalar`."""
     mode = _mode(mode)
@@ -289,10 +294,11 @@ def project(
     suppressed = []
     for tier in tiers:
         for candidate in tier:
-            masks = _masks([*accepted, candidate], names)
-            if _verdict(masks, universe) is not None:
+            tested = [*masks, *_masks([candidate], names)]
+            if _verdict(tested, universe) is not None:
                 accepted.append(candidate)
+                masks = tested
             else:
-                kept = _minimal_clash_set(masks, universe)
+                kept = _minimal_clash_set(tested, universe)
                 suppressed.append(Suppression(candidate, tuple(accepted[j] for j in kept)))
     return ImplicatureReport(mode, tuple(accepted), tuple(suppressed))

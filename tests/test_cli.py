@@ -226,15 +226,16 @@ def test_drop_beta_is_refused_outside_frege(capsys, check):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["A or B", "--opinionated", "0"], "--opinionated applies to soames mode only"),
+    (["A or B", "--opinionated", "0"],
+     "opinionated or-node ids apply to soames mode only, got 0 in gazdar mode"),
     (["A or B", "--mode", "gazdar", "--opinionated", "0"],
-     "--opinionated applies to soames mode only"),
+     "opinionated or-node ids apply to soames mode only, got 0 in gazdar mode"),
     (["A or B", "--mode", "soames", "--opinionated", "5"],
-     "--opinionated names or-node 5, but the or-node ids of 'A or B' are [0]"),
+     "no or-node 5: the or-node ids of 'A or B' are [0]"),
     (["A or B or C", "--mode", "soames", "--opinionated", "1,-1"],
-     "--opinionated names or-node -1, but the or-node ids of 'A or B or C' are [0, 1]"),
+     "no or-node -1: the or-node ids of 'A or B or C' are [0, 1]"),
     (["A and B", "--mode", "soames", "--opinionated", "0"],
-     "--opinionated names or-node 0, but the or-node ids of 'A and B' are none"),
+     "no or-node 0: the or-node ids of 'A and B' are none"),
 ], ids=["default mode", "gazdar", "unknown id", "negative id", "no or-node"])
 def test_opinionated_is_refused_outside_soames_or_on_unknown_ids(capsys, argv, message):
     code, out, err = run(capsys, "implicatures", *argv)

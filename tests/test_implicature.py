@@ -519,26 +519,30 @@ def test_project_refuses_as_the_reference(text, error):
         assert got == _outcome(reference_project, parse(text), mode)
 
 
-@pytest.mark.parametrize("label", ["2b", "6a"])
-def test_project_builds_no_belief_model(label):
+@pytest.mark.parametrize("f, mode, tables, suppressions", [
+    (corpus_lookup("6a"), Mode.GAZDAR, 1 + 4, 3),
+    (corpus_lookup("2b"), Mode.GAZDAR, 3 + 12, 0),
+    (corpus_lookup("2b"), Mode.SOAMES, 3 + 10, 0),
+    (parse(" or ".join(["A"] * 13)), Mode.GAZDAR, 1 + 70, 47),
+    (parse(" or ".join(["A"] * 13)), Mode.SOAMES, 1 + 58, 35),
+], ids=["6a", "2b", "2b-soames", "12-or chain", "12-or chain-soames"])
+def test_project_builds_no_belief_model(f, mode, tables, suppressions):
     # Each candidate gets a yes/no verdict over f's atoms, collected once:
     # no `consistent` call, no witness world and one `atom_names` call in
-    # all. On 6a, `A or A`, the truth tables are the assertion's and those of
-    # the four tested sets (2, 2, 3 and 3 bodies); the three suppressions
-    # reuse their failed tests' masks.
+    # all. The accepted set's masks are kept, so the truth tables are one
+    # per assertion and one per candidate; the suppressions reuse their
+    # failed tests' masks.
     with mock.patch.object(implicature, "consistent", wraps=consistent) as consistent_spy, \
             mock.patch.object(implicature, "world", wraps=implicature.world) as world_spy, \
             mock.patch.object(implicature, "atom_names", wraps=atom_names) as names_spy, \
             mock.patch.object(implicature, "truth_mask", wraps=truth_mask) as mask_spy:
-        report = project(corpus_lookup(label))
+        report = project(f, mode)
     assert consistent_spy.call_count == 0
     assert world_spy.call_count == 0
     assert names_spy.call_count == 1
-    if label == "2b":
-        assert report.suppressed == ()
-    else:
-        assert len(report.suppressed) == 3
-        assert mask_spy.call_count == 11
+    assert len(report.suppressed) == suppressions
+    candidates = len(potential_clausal(f)) + len(potential_scalar(f, mode))
+    assert mask_spy.call_count == len(assertions(f)) + candidates == tables
 
 
 def reference_minimal_clash_set(accepted, candidate):
