@@ -70,13 +70,18 @@ def assignments(names: Sequence[str]) -> Iterator[dict[str, bool]]:
         yield world(names, i)
 
 
-def truth_mask(f: Formula, names: Sequence[str]) -> int:
-    """The truth table of f over names as a bitset: bit i is set iff f holds
-    in the i-th of `assignments(names)`."""
+def _name_masks(names: Sequence[str]) -> dict[str, int]:
+    """Each name's truth mask over names; more than ATOM_LIMIT are refused."""
     if len(names) > ATOM_LIMIT:
         raise AtomLimitError(
             f"{len(names)} atoms exceed the exhaustive-evaluation limit {ATOM_LIMIT}")
-    masks = dict(zip(names, _ATOM_MASKS[len(names)]))
+    return dict(zip(names, _ATOM_MASKS[len(names)]))
+
+
+def truth_mask(f: Formula, names: Sequence[str]) -> int:
+    """The truth table of f over names as a bitset: bit i is set iff f holds
+    in the i-th of `assignments(names)`."""
+    masks = _name_masks(names)
     universe = (1 << 2 ** len(names)) - 1
 
     def go(node: Formula) -> int:

@@ -10,13 +10,15 @@ constraints into the accepted set one at a time, assertions first, and
 suppresses any candidate that would make the set unsatisfiable by a belief
 model (a nonempty set of worlds: K phi holds iff phi is true at every
 world, notK phi iff phi fails somewhere). One rule, `_verdict`, decides
-that from the truth masks of the bodies. `project` keeps the accepted
-set's masks, over the formula's atoms, so each candidate computes one truth
-table, its own, and asks the rule for a yes/no answer; a suppressed
-candidate's clash set is shrunk on the masks of its failed test.
-`consistent` also builds the least belief model from the rule's answer,
-greedily, for callers that want the witness, so the only atom limit is
-`boolean.ATOM_LIMIT`.
+that from the truth masks of the bodies. `project` evaluates the formula
+once, keeping every subformula's mask, and reads each constraint's mask off
+those, so no candidate computes a truth table. It keeps the accepted set as
+one running state, the K-worlds and the notK masks, so each candidate is
+decided by a few bit operations; a suppressed candidate's clash set is
+shrunk on the masks of its failed test with prefix ANDs and a running
+state, building no trial list. `consistent` also builds the least belief
+model from the rule's answer, greedily, for callers that want the witness,
+so the only atom limit is `boolean.ATOM_LIMIT`.
 
 Strong exclusivity is a defeasible default in `gazdar` mode; in `soames`
 mode it is emitted only for or-nodes the caller declares the speaker
@@ -26,12 +28,14 @@ opinionated about.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from ._record import Record
-from .boolean import ATOM_LIMIT, truth_mask, world
+from .boolean import ATOM_LIMIT, _name_masks, truth_mask, world
 from .errors import WorkbenchError
-from .formula import And, Formula, Not, Or, atom_names, or_nodes, subformulas, unparse
+from .formula import (And, AtomNode, Formula, Not, Or, atom_names, or_nodes, subformulas,
+                      unparse)
 
 EPISTEMIC_ATOM_LIMIT = ATOM_LIMIT  # read by benchmarks/; ROADMAP item 1 drops it
 
@@ -109,12 +113,14 @@ def potential_clausal(f: Formula) -> list[EpistemicConstraint]:
     keep distinct entries."""
     out = []
     for path, node in _ordered_or_paths(f):
+        bodies: list[Formula] = []
         for disjunct in (node.left, node.right):
-            out.append(EpistemicConstraint(
-                Polarity.NOT_K, disjunct, Provenance.CLAUSAL, path))
-            out.append(EpistemicConstraint(
-                Polarity.NOT_K, Not(disjunct), Provenance.CLAUSAL, path))
-    return list(dict.fromkeys(out))
+            for body in (disjunct, Not(disjunct)):
+                if body not in bodies:
+                    bodies.append(body)
+        out.extend(EpistemicConstraint(Polarity.NOT_K, body, Provenance.CLAUSAL, path)
+                   for body in bodies)
+    return out
 
 
 def potential_scalar(
@@ -131,16 +137,18 @@ def potential_scalar(
     other raises `WorkbenchError`, as does an opinionated id outside soames
     mode or one that numbers none of f's or-nodes."""
     mode = _mode(mode)
-    numbered = or_nodes(f)
-    ids = range(len(numbered))
-    for n in opinionated:
-        if mode is not Mode.SOAMES:
-            raise WorkbenchError(f"opinionated or-node ids apply to soames mode only, "
-                                 f"got {n!r} in {mode.value} mode")
-        if n not in ids:
-            raise WorkbenchError(f"no or-node {n!r}: the or-node ids of {unparse(f)!r} "
-                                 f"are {list(ids) or 'none'}")
-    strong = {path for n, (path, _) in enumerate(numbered) if n in opinionated}
+    strong = set()
+    if opinionated:
+        numbered = or_nodes(f)
+        ids = range(len(numbered))
+        for n in opinionated:
+            if mode is not Mode.SOAMES:
+                raise WorkbenchError(f"opinionated or-node ids apply to soames mode only, "
+                                     f"got {n!r} in {mode.value} mode")
+            if n not in ids:
+                raise WorkbenchError(f"no or-node {n!r}: the or-node ids of {unparse(f)!r} "
+                                     f"are {list(ids) or 'none'}")
+        strong = {path for n, (path, _) in enumerate(numbered) if n in opinionated}
     out = []
     for path, node in _ordered_or_paths(f):
         both = And(node.left, node.right)
@@ -157,6 +165,48 @@ def _masks(constraints: Iterable[EpistemicConstraint],
     """Each constraint as (is it K, its body's truth mask over `names`),
     which must include every atom of the bodies."""
     return [(c.polarity is Polarity.K, truth_mask(c.body, names)) for c in constraints]
+
+
+def _pass_masks(f: Formula, constraints: Iterable[EpistemicConstraint]
+                ) -> tuple[int, list[tuple[bool, int]]]:
+    """The universe over f's atoms and the `_masks` of `constraints` over
+    them, from one bottom-up evaluation of f that keeps every subformula's
+    mask. Each body must be, as `assertions`, `potential_clausal` and
+    `potential_scalar` build them, a subformula of f or `not psi`,
+    `psi and chi` or `not (psi and chi)` over subformulas psi, chi of f.
+    A subformula gives its kept mask m, `not` gives U ^ m for the universe
+    U, and `and` the AND of its operands' masks. More than ATOM_LIMIT atoms
+    are refused, as `truth_mask` refuses them, before the universe."""
+    names = atom_names(f)
+    atom = _name_masks(names)
+    universe = (1 << 2 ** len(names)) - 1
+    by_id: dict[int, int] = {}  # f holds every node, so no id is reused
+
+    def go(node: Formula) -> int:
+        kind = type(node)
+        if kind is AtomNode:
+            m = atom[node.atom.name]
+        elif kind is Not:
+            m = universe ^ go(node.child)
+        elif kind is And:
+            m = go(node.left) & go(node.right)
+        elif kind is Or:
+            m = go(node.left) | go(node.right)
+        else:
+            m = go(node.left) ^ go(node.right)
+        by_id[id(node)] = m
+        return m
+
+    def body_mask(body: Formula) -> int:
+        m = by_id.get(id(body))
+        if m is not None:
+            return m
+        if type(body) is Not:
+            return universe ^ body_mask(body.child)
+        return body_mask(body.left) & body_mask(body.right)
+
+    go(f)
+    return universe, [(c.polarity is Polarity.K, body_mask(c.body)) for c in constraints]
 
 
 def _verdict(masks: Sequence[tuple[bool, int]], universe: int) -> Optional[tuple[int, list[int]]]:
@@ -245,16 +295,37 @@ def _minimal_clash_set(masks: Sequence[tuple[bool, int]], universe: int) -> list
     on the earliest (highest-precedence) partners. Returns the indices of
     the accepted constraints kept, in order.
 
-    Each trial is `_verdict` on a sublist of the masks given: no truth table
-    is computed and no atom collected. A trial's verdict is the one
-    `consistent` gives it over its own atoms, because atoms that no body
-    mentions do not change satisfiability."""
-    kept = list(range(len(masks)))  # the candidate is last
+    The trial for index i is every index below i, the indices above i kept
+    so far and the candidate; i is dropped iff that trial fails `_verdict`.
+    Its K-worlds are the AND of the K masks below i, read off prefix ANDs,
+    and the running AND of the kept K masks above; the trial fails iff that
+    is empty or leaves some notK body no world, checking the notK masks
+    kept above, then those below. So no trial list is built and no truth
+    table computed, and a trial's verdict is the one `consistent` gives it
+    over its own atoms, because atoms that no body mentions do not change
+    satisfiability."""
+    below = [universe]  # below[i]: the K-worlds of the K masks below i
+    for known, m in islice(masks, len(masks) - 1):
+        below.append(below[-1] & m if known else below[-1])
+    above, notk_above = universe, []
+    known, m = masks[-1]
+    if known:
+        above = m
+    else:
+        notk_above.append(m)
+    kept = []
     for i in reversed(range(len(masks) - 1)):
-        trial = [j for j in kept if j != i]
-        if _verdict([masks[j] for j in trial], universe) is None:
-            kept = trial
-    return kept[:-1]
+        k = below[i] & above
+        if (k and all(k & ~m for m in notk_above)
+                and all(k & ~m for known, m in islice(masks, i) if not known)):
+            kept.append(i)  # the trial without i is satisfiable, so i stays
+            known, m = masks[i]
+            if known:
+                above &= m
+            else:
+                notk_above.append(m)
+    kept.reverse()
+    return kept
 
 
 def project(
@@ -267,38 +338,48 @@ def project(
     one at a time iff the accepted set stays satisfiable, suppressed
     candidates carrying their minimal clash set.
 
-    f's atoms and the universe are formed once: every tested set contains
+    f is evaluated once, over its own atoms: every tested set contains
     K(f) and every body is built from f's subformulas, so these are the
-    atoms `consistent` would collect. The accepted set's `_masks` are kept
-    from one candidate to the next, so a candidate computes one truth
-    table, its own body's, and asks `_verdict` of the kept masks with it.
-    An accepted candidate's mask joins the kept ones; a failed test hands
-    its masks to `_minimal_clash_set`, so a suppression computes no further
-    truth table. A projection thus computes one truth table per assertion
-    and per candidate. No belief model is built; call `consistent` on
-    the accepted set for the least one. `mode` and `opinionated` are read,
-    and refused, as in `potential_scalar`."""
+    atoms `consistent` would collect, and `_pass_masks` reads every
+    constraint's mask off that one pass. The accepted set is kept as one
+    running state: its K-worlds k and its notK masks. A notK candidate
+    with mask m passes iff k & ~m is nonzero; a K candidate iff k & m is
+    nonzero and leaves every need, (k & m) & ~n for each notK mask n,
+    nonzero. These are `_verdict`'s answers, since the accepted set is
+    satisfiable. A failed test hands the accepted masks and the
+    candidate's to `_minimal_clash_set`. No belief model is built; call
+    `consistent` on the accepted set for the least one. `mode` and
+    `opinionated` are read, and refused, as in `potential_scalar`."""
     mode = _mode(mode)
     scalar = potential_scalar(f, mode, opinionated)
-    tiers = [
-        potential_clausal(f),
-        [c for c in scalar if c.provenance is Provenance.SCALAR_WEAK],
-        [c for c in scalar if c.provenance is Provenance.SCALAR_STRONG],
+    candidates = [
+        *potential_clausal(f),
+        *(c for c in scalar if c.provenance is Provenance.SCALAR_WEAK),
+        *(c for c in scalar if c.provenance is Provenance.SCALAR_STRONG),
     ]
     accepted = assertions(f)
-    names = atom_names(f)
-    masks = _masks(accepted, names)  # refuses > ATOM_LIMIT names before the universe
-    universe = (1 << 2 ** len(names)) - 1
-    if _verdict(masks, universe) is None:
+    universe, masks = _pass_masks(f, accepted + candidates)
+    accepted_masks = masks[:len(accepted)]  # for the shrink
+    verdict = _verdict(accepted_masks, universe)
+    if verdict is None:
         raise WorkbenchError("asserted content is epistemically unsatisfiable")
+    k, _ = verdict  # the assertions are all K, so there is no need yet
+    notk: list[int] = []
     suppressed = []
-    for tier in tiers:
-        for candidate in tier:
-            tested = [*masks, *_masks([candidate], names)]
-            if _verdict(tested, universe) is not None:
-                accepted.append(candidate)
-                masks = tested
+    for candidate, (known, m) in zip(candidates, masks[len(accepted):]):
+        if known:
+            tested = k & m
+            passes = tested and all(tested & ~n for n in notk)
+        else:
+            passes = k & ~m
+        if passes:
+            accepted.append(candidate)
+            accepted_masks.append((known, m))
+            if known:
+                k = tested
             else:
-                kept = _minimal_clash_set(tested, universe)
-                suppressed.append(Suppression(candidate, tuple(accepted[j] for j in kept)))
+                notk.append(m)
+        else:
+            clash = _minimal_clash_set([*accepted_masks, (known, m)], universe)
+            suppressed.append(Suppression(candidate, tuple(accepted[j] for j in clash)))
     return ImplicatureReport(mode, tuple(accepted), tuple(suppressed))

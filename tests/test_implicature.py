@@ -6,7 +6,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from coordsem import (
     CORPUS_LABELS,
@@ -519,30 +519,59 @@ def test_project_refuses_as_the_reference(text, error):
         assert got == _outcome(reference_project, parse(text), mode)
 
 
-@pytest.mark.parametrize("f, mode, tables, suppressions", [
-    (corpus_lookup("6a"), Mode.GAZDAR, 1 + 4, 3),
-    (corpus_lookup("2b"), Mode.GAZDAR, 3 + 12, 0),
-    (corpus_lookup("2b"), Mode.SOAMES, 3 + 10, 0),
-    (parse(" or ".join(["A"] * 13)), Mode.GAZDAR, 1 + 70, 47),
-    (parse(" or ".join(["A"] * 13)), Mode.SOAMES, 1 + 58, 35),
+@pytest.mark.parametrize("f, mode, suppressions", [
+    (corpus_lookup("6a"), Mode.GAZDAR, 3),
+    (corpus_lookup("2b"), Mode.GAZDAR, 0),
+    (corpus_lookup("2b"), Mode.SOAMES, 0),
+    (parse(" or ".join(["A"] * 13)), Mode.GAZDAR, 47),
+    (parse(" or ".join(["A"] * 13)), Mode.SOAMES, 35),
 ], ids=["6a", "2b", "2b-soames", "12-or chain", "12-or chain-soames"])
-def test_project_builds_no_belief_model(f, mode, tables, suppressions):
+def test_project_builds_no_belief_model(f, mode, suppressions):
     # Each candidate gets a yes/no verdict over f's atoms, collected once:
     # no `consistent` call, no witness world and one `atom_names` call in
-    # all. The accepted set's masks are kept, so the truth tables are one
-    # per assertion and one per candidate; the suppressions reuse their
-    # failed tests' masks.
+    # all. f is evaluated once, and every constraint's mask is read off
+    # that pass, so no truth table is computed; the suppressions reuse
+    # their failed tests' masks.
     with mock.patch.object(implicature, "consistent", wraps=consistent) as consistent_spy, \
             mock.patch.object(implicature, "world", wraps=implicature.world) as world_spy, \
             mock.patch.object(implicature, "atom_names", wraps=atom_names) as names_spy, \
+            mock.patch.object(implicature, "_pass_masks",
+                              wraps=implicature._pass_masks) as pass_spy, \
             mock.patch.object(implicature, "truth_mask", wraps=truth_mask) as mask_spy:
         report = project(f, mode)
     assert consistent_spy.call_count == 0
     assert world_spy.call_count == 0
     assert names_spy.call_count == 1
     assert len(report.suppressed) == suppressions
-    candidates = len(potential_clausal(f)) + len(potential_scalar(f, mode))
-    assert mask_spy.call_count == len(assertions(f)) + candidates == tables
+    assert mask_spy.call_count == 0
+    assert pass_spy.call_count == 1
+    (evaluated, constraints), _ = pass_spy.call_args
+    assert evaluated is f
+    assert len(constraints) == (len(assertions(f)) + len(potential_clausal(f))
+                                + len(potential_scalar(f, mode)))
+
+
+def _assert_pass_masks_are_truth_masks(f):
+    constraints = [*assertions(f), *potential_clausal(f), *potential_scalar(f, Mode.GAZDAR)]
+    names = atom_names(f)
+    universe, masks = implicature._pass_masks(f, constraints)
+    assert universe == (1 << 2 ** len(names)) - 1
+    assert masks == [(c.polarity is Polarity.K, truth_mask(c.body, names))
+                     for c in constraints]
+
+
+def test_pass_masks_are_truth_masks_on_every_small_formula():
+    # gazdar mode's scalar list holds every body soames mode can emit
+    formulas = and_or_formulas(3)
+    assert len(formulas) == 237
+    for f in formulas:
+        _assert_pass_masks_are_truth_masks(f)
+
+
+@given(_any_formula)
+def test_pass_masks_are_truth_masks_on_formulas(f):
+    # _any_formula reaches `not` and `xor`, which and_or_formulas never builds
+    _assert_pass_masks_are_truth_masks(f)
 
 
 def reference_minimal_clash_set(accepted, candidate):
@@ -556,6 +585,35 @@ def reference_minimal_clash_set(accepted, candidate):
         if not ok:
             kept = trial
     return tuple(kept)
+
+
+def trial_list_minimal_clash_set(masks, universe):
+    """The shrink with one `_verdict` call on a freshly built trial list per
+    accepted constraint: drop indices latest first, keeping each drop that
+    leaves the rest still failing with the candidate, which is last."""
+    kept = list(range(len(masks)))
+    for i in reversed(range(len(masks) - 1)):
+        trial = [j for j in kept if j != i]
+        if implicature._verdict([masks[j] for j in trial], universe) is None:
+            kept = trial
+    return kept[:-1]
+
+
+@st.composite
+def _failing_masks(draw):
+    """A universe of 1 to 16 worlds and a list of K and notK masks over it,
+    the last standing for the candidate, that fails `_verdict`."""
+    universe = (1 << draw(st.integers(1, 16))) - 1
+    entry = st.tuples(st.booleans(), st.integers(0, universe))
+    masks = draw(st.lists(entry, min_size=1, max_size=12))
+    assume(implicature._verdict(masks, universe) is None)
+    return masks, universe
+
+
+@given(_failing_masks())
+def test_the_shrink_matches_the_trial_list_shrink(case):
+    masks, universe = case
+    assert _minimal_clash_set(masks, universe) == trial_list_minimal_clash_set(masks, universe)
 
 
 def _shrinks(f, mode):
