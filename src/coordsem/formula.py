@@ -22,6 +22,7 @@ counting each "(", each "not" and each right operand of a binary connective.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Callable, Iterator, Mapping, Union
 
 from ._record import Record
@@ -142,53 +143,57 @@ def _rebuild(f: Formula, leaf: Callable[[AtomNode], Formula],
 # recursive walk over the parse tree stays far from Python's recursion limit.
 MAX_DEPTH = 100
 
-_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[():]|(\S)")
+_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[():]")
+# A character no token takes: one that is neither space, letter, digit, "_"
+# nor punctuation, or a digit or "_" that no name has begun.
+_STRAY_RE = re.compile(r"[^A-Za-z0-9_():\s]|(?<![A-Za-z0-9_])[0-9_]")
 _KINDS = {"and", "or", "xor", "not", "(", ")", ":"}
+_END = "end of input"  # the last token: no token of a text holds a space
+_NOT_NAMES = _KINDS | {_END}
 
 
-def _tokens(text: str) -> list[tuple[str, str, int]]:
-    """(kind, value, position) of each token, then an end token. A keyword's
-    or punctuation's kind is its text; any other word is a "name"."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        if m.group(1):
-            raise ParseError(f"unexpected character {m.group(1)!r}", m.start())
-        value = m.group()
-        tokens.append((value if value in _KINDS else "name", value, m.start()))
-    tokens.append(("end", "end of input", len(text)))
+def _tokens(text: str) -> list[str]:
+    """The tokens of text, then `_END`, from one scan. A token that is not a
+    keyword, punctuation or `_END` is a name. A stray character is refused
+    first, wherever it stands."""
+    stray = _STRAY_RE.search(text)
+    if stray:
+        raise ParseError(f"unexpected character {stray.group()!r}", stray.start())
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append(_END)
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokens(text)
+        self.text = text
+        self.tokens = toks = _tokens(text)
         self.index = 0  # of the next token
         self.depth = 0
-        toks = self.tokens
         # Every name annotated iterable somewhere; _primary reports conflicts.
-        self.iterable = {name for (kind, name, _), (colon, _, _), (_, aspect, _)
-                         in zip(toks, toks[1:], toks[2:])
-                         if kind == "name" and colon == ":" and aspect == ITERABLE}
+        self.iterable = {name for name, colon, aspect in zip(toks, toks[1:], toks[2:])
+                         if colon == ":" and aspect == ITERABLE and name not in _KINDS
+                         } if ":" in toks else set()
         self.declared: dict[str, str] = {}  # name -> its first annotation
+        self.leaves: dict[str, AtomNode] = {}  # name -> the one leaf of its occurrences
+
+    def _error(self, message: str, index: int) -> ParseError:
+        """A ParseError at token `index`, whose position is found only now."""
+        if index == len(self.tokens) - 1:
+            return ParseError(message, len(self.text))
+        match = next(islice(_TOKEN_RE.finditer(self.text), index, None))
+        return ParseError(message, match.start())
 
     def parse(self) -> Formula:
         f = self._expr()
-        kind, value, pos = self.tokens[self.index]
-        if kind != "end":
-            raise ParseError(f"unexpected {value!r}", pos)
+        token = self.tokens[self.index]
+        if token != _END:
+            raise self._error(f"unexpected {token!r}", self.index)
         return f
-
-    def _peek(self) -> str:
-        return self.tokens[self.index][0]
-
-    def _take(self) -> tuple[str, str, int]:
-        self.index += 1
-        return self.tokens[self.index - 1]
 
     def _nested(self, parse_part: Callable[[], Formula]) -> Formula:
         if self.depth == MAX_DEPTH:
-            raise ParseError(f"formula nests deeper than {MAX_DEPTH} levels",
-                             self.tokens[self.index][2])
+            raise self._error(f"formula nests deeper than {MAX_DEPTH} levels", self.index)
         self.depth += 1
         f = parse_part()
         self.depth -= 1
@@ -196,55 +201,63 @@ class _Parser:
 
     def _expr(self) -> Formula:
         left = self._conj()
-        kind = self._peek()
-        if kind == "or":
+        token = self.tokens[self.index]
+        if token == "or":
             self.index += 1
             return Or(left, self._nested(self._expr))
-        if kind == "xor":
+        if token == "xor":
             self.index += 1
             return Xor(left, self._nested(self._expr))
         return left
 
     def _conj(self) -> Formula:
         left = self._unary()
-        if self._peek() == "and":
+        if self.tokens[self.index] == "and":
             self.index += 1
             return And(left, self._nested(self._conj))
         return left
 
     def _unary(self) -> Formula:
-        if self._peek() == "not":
+        if self.tokens[self.index] == "not":
             self.index += 1
             return Not(self._nested(self._unary))
         return self._primary()
 
     def _primary(self) -> Formula:
-        kind, value, pos = self._take()
-        if kind == "(":
+        at = self.index
+        token = self.tokens[at]
+        self.index += 1
+        if token == "(":
             inner = self._nested(self._expr)
-            kind, found, pos = self._take()
-            if kind != ")":
-                raise ParseError(f"expected ')', found {found!r}", pos)
+            found = self.tokens[self.index]
+            self.index += 1
+            if found != ")":
+                raise self._error(f"expected ')', found {found!r}", self.index - 1)
             return inner
-        if kind == "name":
-            if self._peek() == ":":
-                self.index += 1
-                _, aspect, apos = self._take()
-                if aspect not in ASPECTS:
-                    raise ParseError(f"expected aspect {ASPECTS}, found {aspect!r}", apos)
-                first = self.declared.setdefault(value, aspect)
-                if first != aspect:
-                    raise ParseError(
-                        f"conflicting aspect for atom {value!r}: {first} vs {aspect}", pos)
-            return AtomNode(Atom(value, ITERABLE if value in self.iterable else STATIVE))
-        raise ParseError(f"expected a formula, found {value!r}", pos)
+        if token in _NOT_NAMES:
+            raise self._error(f"expected a formula, found {token!r}", at)
+        if self.tokens[self.index] == ":":
+            aspect = self.tokens[self.index + 1]
+            self.index += 2
+            if aspect not in ASPECTS:
+                raise self._error(f"expected aspect {ASPECTS}, found {aspect!r}", self.index - 1)
+            first = self.declared.setdefault(token, aspect)
+            if first != aspect:
+                raise self._error(
+                    f"conflicting aspect for atom {token!r}: {first} vs {aspect}", at)
+        leaf = self.leaves.get(token)
+        if leaf is None:
+            aspect = ITERABLE if token in self.iterable else STATIVE
+            leaf = self.leaves[token] = AtomNode(Atom(token, aspect))
+        return leaf
 
 
 def parse(text: str) -> Formula:
     """Parse formula text into an AST.
 
     Raises ParseError with a character position on malformed input or on
-    conflicting aspect annotations for one atom name.
+    conflicting aspect annotations for one atom name. The occurrences of
+    one name share one leaf, so its atom is built and checked once.
     """
     return _Parser(text).parse()
 

@@ -10,15 +10,18 @@ constraints into the accepted set one at a time, assertions first, and
 suppresses any candidate that would make the set unsatisfiable by a belief
 model (a nonempty set of worlds: K phi holds iff phi is true at every
 world, notK phi iff phi fails somewhere). One rule, `_verdict`, decides
-that from the truth masks of the bodies. `project` evaluates the formula
-once, keeping every subformula's mask, and reads each constraint's mask off
+that from the truth masks of the bodies. `project` walks the formula once
+for its atoms and or-nodes and evaluates it once, keeping the masks of each
+or-node's operands, and builds every candidate together with its mask from
 those, so no candidate computes a truth table. It keeps the accepted set as
 one running state, the K-worlds and the notK masks, so each candidate is
-decided by a few bit operations; a suppressed candidate's clash set is
-shrunk on the masks of its failed test with prefix ANDs and a running
-state, building no trial list. `consistent` also builds the least belief
-model from the rule's answer, greedily, for callers that want the witness,
-so the only atom limit is `boolean.ATOM_LIMIT`.
+decided by a few bit operations, and keeps the K-worlds after each
+acceptance, so a suppressed candidate's clash set is shrunk on the masks of
+its failed test with those prefix ANDs and a running state, building no
+trial list. `potential_clausal` and `potential_scalar` read the same walk
+and build the same constraints, without masks. `consistent` also builds the
+least belief model from the rule's answer, greedily, for callers that want
+the witness, so the only atom limit is `boolean.ATOM_LIMIT`.
 
 Strong exclusivity is a defeasible default in `gazdar` mode; in `soames`
 mode it is emitted only for or-nodes the caller declares the speaker
@@ -29,13 +32,12 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from ._record import Record
 from .boolean import ATOM_LIMIT, _name_masks, truth_mask, world
 from .errors import WorkbenchError
-from .formula import (And, AtomNode, Formula, Not, Or, atom_names, or_nodes, subformulas,
-                      unparse)
+from .formula import And, AtomNode, Formula, Not, Or, atom_names, unparse
 
 EPISTEMIC_ATOM_LIMIT = ATOM_LIMIT  # read by benchmarks/; ROADMAP item 1 drops it
 
@@ -101,26 +103,97 @@ def assertions(f: Formula) -> list[EpistemicConstraint]:
     return out
 
 
-def _ordered_or_paths(f: Formula) -> list[tuple[tuple[int, ...], Or]]:
-    """f's or-nodes with their paths, in path order: pre-order is path order."""
-    return [(p, n) for p, n in subformulas(f) if isinstance(n, Or)]
+def _walk(f: Formula) -> tuple[list[str], list[tuple[tuple[int, ...], Or]], list[int]]:
+    """One walk of f: its atom names, sorted; its or-nodes with their paths,
+    in pre-order, which is path order; and, for each or-node number n (see
+    `formula.or_nodes`), the pre-order index of or-node n. An or-node's
+    number counts the or-nodes an in-order walk visits before it, so it is
+    taken between the node's two subtrees."""
+    names: set[str] = set()
+    ors: list[tuple[tuple[int, ...], Or]] = []
+    by_number: list[int] = []
+
+    def go(node: Formula, path: tuple[int, ...]) -> None:
+        kind = type(node)
+        if kind is AtomNode:
+            names.add(node.atom.name)
+        elif kind is Not:
+            go(node.child, path + (0,))
+        elif kind is Or:
+            index = len(ors)
+            ors.append((path, node))
+            go(node.left, path + (0,))
+            by_number.append(index)
+            go(node.right, path + (1,))
+        else:
+            go(node.left, path + (0,))
+            go(node.right, path + (1,))
+
+    go(f, ())
+    return sorted(names), ors, by_number
+
+
+def _strong(f: Formula, mode: Mode, opinionated: Sequence[int],
+            by_number: Sequence[int]) -> Container[int]:
+    """The pre-order indices of f's or-nodes that get a strong form: all of
+    them in gazdar mode, the opinionated ones in soames mode. Refuses an
+    opinionated id outside soames mode or one that numbers none of f's
+    or-nodes, checking the ids in their order."""
+    ids = range(len(by_number))
+    for n in opinionated:
+        if mode is not Mode.SOAMES:
+            raise WorkbenchError(f"opinionated or-node ids apply to soames mode only, "
+                                 f"got {n!r} in {mode.value} mode")
+        if n not in ids:
+            raise WorkbenchError(f"no or-node {n!r}: the or-node ids of {unparse(f)!r} "
+                                 f"are {list(ids) or 'none'}")
+    if mode is Mode.GAZDAR:
+        return ids
+    return {index for n, index in enumerate(by_number) if n in opinionated}
+
+
+_Candidate = tuple[EpistemicConstraint, bool, int]  # the constraint, is it K, its mask
+
+
+def _ignorance(path: tuple[int, ...], node: Or, left: int, right: int,
+               universe: int) -> list[_Candidate]:
+    """The clausal candidates of the or-node `node` at `path`, given its
+    operands' masks: notK of psi and of not psi for each disjunct psi, left
+    first, with masks m and U ^ m, each body kept only if no earlier one
+    equals it. Callers that want no masks pass zeros."""
+    kept: list[_Candidate] = []
+    bodies: list[Formula] = []
+    for disjunct, m in ((node.left, left), (node.right, right)):
+        for body, mask in ((disjunct, m), (Not(disjunct), universe ^ m)):
+            if body not in bodies:
+                bodies.append(body)
+                kept.append((EpistemicConstraint(Polarity.NOT_K, body, Provenance.CLAUSAL,
+                                                 path), False, mask))
+    return kept
+
+
+def _exclusivity(path: tuple[int, ...], node: Or, both: int, universe: int,
+                 strong: bool) -> list[_Candidate]:
+    """The weak candidate of the or-node `node` at `path`, then its strong
+    one if `strong`, given the mask `both` of its operands' AND: notK(psi and
+    chi) with mask `both` and K(not (psi and chi)) with U ^ `both`. Callers
+    that want no masks pass zeros."""
+    conjunction = And(node.left, node.right)
+    out = [(EpistemicConstraint(Polarity.NOT_K, conjunction, Provenance.SCALAR_WEAK, path),
+            False, both)]
+    if strong:
+        out.append((EpistemicConstraint(Polarity.K, Not(conjunction),
+                                        Provenance.SCALAR_STRONG, path), True, universe ^ both))
+    return out
 
 
 def potential_clausal(f: Formula) -> list[EpistemicConstraint]:
     """Ignorance constraints: for each disjunct psi of each or-node,
     notK(psi) and notK(not psi). Duplicates collapse within a node (an
     or-node with identical disjuncts contributes one pair); distinct nodes
-    keep distinct entries."""
-    out = []
-    for path, node in _ordered_or_paths(f):
-        bodies: list[Formula] = []
-        for disjunct in (node.left, node.right):
-            for body in (disjunct, Not(disjunct)):
-                if body not in bodies:
-                    bodies.append(body)
-        out.extend(EpistemicConstraint(Polarity.NOT_K, body, Provenance.CLAUSAL, path)
-                   for body in bodies)
-    return out
+    keep distinct entries. The or-nodes come in path order."""
+    _, ors, _ = _walk(f)
+    return [c for path, node in ors for c, _, _ in _ignorance(path, node, 0, 0, 0)]
 
 
 def potential_scalar(
@@ -137,27 +210,10 @@ def potential_scalar(
     other raises `WorkbenchError`, as does an opinionated id outside soames
     mode or one that numbers none of f's or-nodes."""
     mode = _mode(mode)
-    strong = set()
-    if opinionated:
-        numbered = or_nodes(f)
-        ids = range(len(numbered))
-        for n in opinionated:
-            if mode is not Mode.SOAMES:
-                raise WorkbenchError(f"opinionated or-node ids apply to soames mode only, "
-                                     f"got {n!r} in {mode.value} mode")
-            if n not in ids:
-                raise WorkbenchError(f"no or-node {n!r}: the or-node ids of {unparse(f)!r} "
-                                     f"are {list(ids) or 'none'}")
-        strong = {path for n, (path, _) in enumerate(numbered) if n in opinionated}
-    out = []
-    for path, node in _ordered_or_paths(f):
-        both = And(node.left, node.right)
-        out.append(EpistemicConstraint(
-            Polarity.NOT_K, both, Provenance.SCALAR_WEAK, path))
-        if mode is Mode.GAZDAR or path in strong:
-            out.append(EpistemicConstraint(
-                Polarity.K, Not(both), Provenance.SCALAR_STRONG, path))
-    return out
+    _, ors, by_number = _walk(f)
+    strong = _strong(f, mode, opinionated, by_number)
+    return [c for i, (path, node) in enumerate(ors)
+            for c, _, _ in _exclusivity(path, node, 0, 0, i in strong)]
 
 
 def _masks(constraints: Iterable[EpistemicConstraint],
@@ -167,46 +223,36 @@ def _masks(constraints: Iterable[EpistemicConstraint],
     return [(c.polarity is Polarity.K, truth_mask(c.body, names)) for c in constraints]
 
 
-def _pass_masks(f: Formula, constraints: Iterable[EpistemicConstraint]
-                ) -> tuple[int, list[tuple[bool, int]]]:
-    """The universe over f's atoms and the `_masks` of `constraints` over
-    them, from one bottom-up evaluation of f that keeps every subformula's
-    mask. Each body must be, as `assertions`, `potential_clausal` and
-    `potential_scalar` build them, a subformula of f or `not psi`,
-    `psi and chi` or `not (psi and chi)` over subformulas psi, chi of f.
-    A subformula gives its kept mask m, `not` gives U ^ m for the universe
-    U, and `and` the AND of its operands' masks. More than ATOM_LIMIT atoms
-    are refused, as `truth_mask` refuses them, before the universe."""
-    names = atom_names(f)
+def _mask_pass(f: Formula, names: Sequence[str]) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """The universe over `names`, which must hold every atom of f, the masks
+    of the bodies of `assertions(f)` in order, and the masks of each
+    or-node's two operands, in pre-order, from one bottom-up evaluation of
+    f. More than ATOM_LIMIT names are refused, as `truth_mask` refuses
+    them, before the universe."""
     atom = _name_masks(names)
     universe = (1 << 2 ** len(names)) - 1
-    by_id: dict[int, int] = {}  # f holds every node, so no id is reused
+    operands: list[tuple[int, int]] = []
 
     def go(node: Formula) -> int:
         kind = type(node)
         if kind is AtomNode:
-            m = atom[node.atom.name]
-        elif kind is Not:
-            m = universe ^ go(node.child)
-        elif kind is And:
-            m = go(node.left) & go(node.right)
-        elif kind is Or:
-            m = go(node.left) | go(node.right)
-        else:
-            m = go(node.left) ^ go(node.right)
-        by_id[id(node)] = m
-        return m
+            return atom[node.atom.name]
+        if kind is Not:
+            return universe ^ go(node.child)
+        if kind is Or:
+            index = len(operands)  # taken on entry: the pre-order index
+            operands.append((0, 0))
+            left, right = go(node.left), go(node.right)
+            operands[index] = left, right
+            return left | right
+        if kind is And:
+            return go(node.left) & go(node.right)
+        return go(node.left) ^ go(node.right)
 
-    def body_mask(body: Formula) -> int:
-        m = by_id.get(id(body))
-        if m is not None:
-            return m
-        if type(body) is Not:
-            return universe ^ body_mask(body.child)
-        return body_mask(body.left) & body_mask(body.right)
-
-    go(f)
-    return universe, [(c.polarity is Polarity.K, body_mask(c.body)) for c in constraints]
+    if type(f) is And:
+        left, right = go(f.left), go(f.right)
+        return universe, [left, right, left & right], operands
+    return universe, [go(f)], operands
 
 
 def _verdict(masks: Sequence[tuple[bool, int]], universe: int) -> Optional[tuple[int, list[int]]]:
@@ -288,36 +334,38 @@ class ImplicatureReport(Record):
         }
 
 
-def _minimal_clash_set(masks: Sequence[tuple[bool, int]], universe: int) -> list[int]:
-    """Shrink a set that fails `_verdict`, given as its `_masks` with the
-    candidate last, to a minimal subset still inconsistent with the
-    candidate, dropping later-accepted constraints first so the blame lands
-    on the earliest (highest-precedence) partners. Returns the indices of
+def _minimal_clash_set(masks: Sequence[tuple[bool, int]], below: Sequence[int],
+                       candidate: tuple[bool, int]) -> list[int]:
+    """Shrink an accepted set that fails `_verdict` together with a
+    candidate, given as their `_masks`, to a minimal subset still
+    inconsistent with the candidate, dropping later-accepted constraints
+    first so the blame lands on the earliest (highest-precedence) partners.
+    `below[i]` is the AND of the K masks among `masks[:i]`, `below[0]` the
+    universe, kept by the caller as the set grew. Returns the indices of
     the accepted constraints kept, in order.
 
     The trial for index i is every index below i, the indices above i kept
     so far and the candidate; i is dropped iff that trial fails `_verdict`.
-    Its K-worlds are the AND of the K masks below i, read off prefix ANDs,
-    and the running AND of the kept K masks above; the trial fails iff that
-    is empty or leaves some notK body no world, checking the notK masks
-    kept above, then those below. So no trial list is built and no truth
-    table computed, and a trial's verdict is the one `consistent` gives it
-    over its own atoms, because atoms that no body mentions do not change
-    satisfiability."""
-    below = [universe]  # below[i]: the K-worlds of the K masks below i
-    for known, m in islice(masks, len(masks) - 1):
-        below.append(below[-1] & m if known else below[-1])
-    above, notk_above = universe, []
-    known, m = masks[-1]
-    if known:
-        above = m
-    else:
-        notk_above.append(m)
+    Its K-worlds are `below[i]` ANDed with the running AND of the kept K
+    masks above; the trial fails iff that is empty or leaves some notK body
+    no world, checking the notK masks kept above, then those below. So no
+    trial list is built and no truth table computed, and a trial's verdict
+    is the one `consistent` gives it over its own atoms, because atoms that
+    no body mentions do not change satisfiability. The last K-worlds that a
+    kept notK mask above covered are remembered: `below[i]` changes only at
+    K masks, so each index of a run of notK masks then costs a comparison."""
+    known, m = candidate
+    above, notk_above = (m, []) if known else (below[0], [m])
+    covered = 0  # K-worlds that a kept notK mask above leaves no world
     kept = []
-    for i in reversed(range(len(masks) - 1)):
+    for i in reversed(range(len(masks))):
         k = below[i] & above
-        if (k and all(k & ~m for m in notk_above)
-                and all(k & ~m for known, m in islice(masks, i) if not known)):
+        if not k or k == covered:
+            continue
+        if not all(k & ~m for m in notk_above):
+            covered = k  # and stays so: the kept notK masks only grow
+            continue
+        if all(k & ~m for known, m in islice(masks, i) if not known):
             kept.append(i)  # the trial without i is satisfiable, so i stays
             known, m = masks[i]
             if known:
@@ -326,6 +374,26 @@ def _minimal_clash_set(masks: Sequence[tuple[bool, int]], universe: int) -> list
                 notk_above.append(m)
     kept.reverse()
     return kept
+
+
+def _candidates(f: Formula, mode: Mode, opinionated: Sequence[int]
+                ) -> tuple[int, list[int], list[_Candidate]]:
+    """The universe over f's atoms, the masks of `assertions(f)` and the
+    candidates in projection order: every clausal one, then every weak one,
+    then every strong one, each tier in path order, each candidate with its
+    mask. Opinionated ids are refused before the atom limit."""
+    names, ors, by_number = _walk(f)
+    strong = _strong(f, mode, opinionated, by_number)
+    universe, asserted, operands = _mask_pass(f, names)
+    clausal: list[_Candidate] = []
+    weak: list[_Candidate] = []
+    strong_forms: list[_Candidate] = []
+    for i, ((path, node), (left, right)) in enumerate(zip(ors, operands)):
+        clausal += _ignorance(path, node, left, right, universe)
+        weak_form, *strong_form = _exclusivity(path, node, left & right, universe, i in strong)
+        weak.append(weak_form)
+        strong_forms += strong_form
+    return universe, asserted, clausal + weak + strong_forms
 
 
 def project(
@@ -338,35 +406,35 @@ def project(
     one at a time iff the accepted set stays satisfiable, suppressed
     candidates carrying their minimal clash set.
 
-    f is evaluated once, over its own atoms: every tested set contains
-    K(f) and every body is built from f's subformulas, so these are the
-    atoms `consistent` would collect, and `_pass_masks` reads every
-    constraint's mask off that one pass. The accepted set is kept as one
-    running state: its K-worlds k and its notK masks. A notK candidate
-    with mask m passes iff k & ~m is nonzero; a K candidate iff k & m is
-    nonzero and leaves every need, (k & m) & ~n for each notK mask n,
-    nonzero. These are `_verdict`'s answers, since the accepted set is
-    satisfiable. A failed test hands the accepted masks and the
-    candidate's to `_minimal_clash_set`. No belief model is built; call
-    `consistent` on the accepted set for the least one. `mode` and
-    `opinionated` are read, and refused, as in `potential_scalar`."""
+    f is walked once for its atoms and or-nodes (`_walk`) and evaluated
+    once over those atoms (`_mask_pass`): every tested set contains K(f)
+    and every body is built from f's subformulas, so these are the atoms
+    `consistent` would collect. Each candidate is built with its mask from
+    its or-node's operand masks m_l and m_r: m and U ^ m for a disjunct and
+    its negation, m_l & m_r for the weak form, U ^ (m_l & m_r) for the
+    strong one. The accepted set is kept as one running state: its K-worlds
+    k and its notK masks. A notK candidate with mask m passes iff k & ~m is
+    nonzero; a K candidate iff k & m is nonzero and leaves every need,
+    (k & m) & ~n for each notK mask n, nonzero. These are `_verdict`'s
+    answers, since the accepted set is satisfiable. The K-worlds after each
+    acceptance are kept too, as the prefix ANDs a failed test hands to
+    `_minimal_clash_set` with the accepted masks and the candidate's. No
+    belief model is built; call `consistent` on the accepted set for the
+    least one. `mode` and `opinionated` are read, and refused, as in
+    `potential_scalar`, before the atom limit is checked."""
     mode = _mode(mode)
-    scalar = potential_scalar(f, mode, opinionated)
-    candidates = [
-        *potential_clausal(f),
-        *(c for c in scalar if c.provenance is Provenance.SCALAR_WEAK),
-        *(c for c in scalar if c.provenance is Provenance.SCALAR_STRONG),
-    ]
+    universe, asserted, candidates = _candidates(f, mode, opinionated)
     accepted = assertions(f)
-    universe, masks = _pass_masks(f, accepted + candidates)
-    accepted_masks = masks[:len(accepted)]  # for the shrink
-    verdict = _verdict(accepted_masks, universe)
-    if verdict is None:
+    accepted_masks = [(True, m) for m in asserted]
+    below = [universe]  # below[i]: the K-worlds of accepted[:i]
+    for m in asserted:
+        below.append(below[-1] & m)
+    k = below[-1]
+    if not k:
         raise WorkbenchError("asserted content is epistemically unsatisfiable")
-    k, _ = verdict  # the assertions are all K, so there is no need yet
     notk: list[int] = []
     suppressed = []
-    for candidate, (known, m) in zip(candidates, masks[len(accepted):]):
+    for candidate, known, m in candidates:
         if known:
             tested = k & m
             passes = tested and all(tested & ~n for n in notk)
@@ -379,7 +447,8 @@ def project(
                 k = tested
             else:
                 notk.append(m)
+            below.append(k)
         else:
-            clash = _minimal_clash_set([*accepted_masks, (known, m)], universe)
+            clash = _minimal_clash_set(accepted_masks, below, (known, m))
             suppressed.append(Suppression(candidate, tuple(accepted[j] for j in clash)))
     return ImplicatureReport(mode, tuple(accepted), tuple(suppressed))

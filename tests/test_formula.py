@@ -36,7 +36,8 @@ from coordsem import (
     parse,
     unparse,
 )
-from coordsem.formula import CORPUS_LABELS, JOIN, MEET, or_nodes, subformulas
+from coordsem import formula
+from coordsem.formula import CORPUS_LABELS, ITERABLE, JOIN, MEET, or_nodes, subformulas
 
 A, B, C = (AtomNode(Atom(n)) for n in "ABC")
 
@@ -385,3 +386,82 @@ def test_length_counts_tokens_of_unparse(f):
     text = unparse(f)
     tokens = text.replace("(", " ").replace(")", " ").split()
     assert length_metric(f) == len(tokens)
+
+
+# ---------------------------------------------------------------------------
+# The tokenizer against a reference
+
+_REFERENCE_TOKEN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|[():]|(\S)")
+_KEYWORDS = {"and", "or", "xor", "not", "(", ")", ":"}
+
+
+def reference_tokens(text):
+    """(kind, value, position) of each token, then an end token, from one
+    match object per token. A keyword's or punctuation's kind is its text;
+    any other word is a "name"."""
+    tokens = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        if m.group(1):
+            raise ParseError(f"unexpected character {m.group(1)!r}", m.start())
+        value = m.group()
+        tokens.append((value if value in _KEYWORDS else "name", value, m.start()))
+    tokens.append(("end", "end of input", len(text)))
+    return tokens
+
+
+class ReferenceParser(formula._Parser):
+    """parse's descent over `reference_tokens`, each token's position read
+    off its match and each name's aspects found by kind."""
+
+    def __init__(self, text):
+        tokens = reference_tokens(text)
+        self.text = text
+        self.tokens = [value for _, value, _ in tokens]
+        self.positions = [pos for _, _, pos in tokens]
+        self.index = self.depth = 0
+        self.iterable = {name for (kind, name, _), (colon, _, _), (_, aspect, _)
+                         in zip(tokens, tokens[1:], tokens[2:])
+                         if kind == "name" and colon == ":" and aspect == ITERABLE}
+        self.declared = {}
+        self.leaves = {}
+
+    def _error(self, message, index):
+        return ParseError(message, self.positions[index])
+
+
+def _parsed(parser, text):
+    """The tree, or the ParseError's message and position."""
+    try:
+        return parser(text)
+    except ParseError as err:
+        return str(err), err.position
+
+
+def _assert_parses_as_the_reference(text):
+    assert _parsed(parse, text) == _parsed(lambda t: ReferenceParser(t).parse(), text)
+
+
+_PIECES = ["A", "B", "x1", "talks", "Or", "iterable", "stative", "and", "or", "xor", "not",
+           "(", ")", ":", " ", " ", " ", "\t", "\n", "\xa0", "?", "é", "9", "_", "&", "1A"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=24).map("".join))
+def test_parse_matches_the_reference_tokenizer(text):
+    _assert_parses_as_the_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "A", "A and ?", "A and (B or", "A9 and _b", "x_9 or 9x", "Aé or B", "A\xa0or B",
+    "talks:iterable and talks", "A:stative and A:iterable", "A:", "A:foo", "(A or B",
+    "A or B)", "not " * 101 + "A", "A &&& B", "A or or B", *formula._CORPUS_TEXT.values(),
+])
+def test_parse_matches_the_reference_tokenizer_on_examples(text):
+    _assert_parses_as_the_reference(text)
+
+
+def test_the_occurrences_of_a_name_share_one_leaf():
+    f = parse("A:iterable or (B and not A)")
+    assert f.left is f.right.right.child
+    assert f.left.atom == Atom("A", ITERABLE)
+    assert f == Or(AtomNode(Atom("A", ITERABLE)),
+                   And(AtomNode(Atom("B")), Not(AtomNode(Atom("A", ITERABLE)))))

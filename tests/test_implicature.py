@@ -40,7 +40,7 @@ from coordsem.implicature import (
     EpistemicConstraint,
     Suppression,
     _minimal_clash_set,
-    _ordered_or_paths,
+    _walk,
 )
 from small_scope import and_or_formulas
 
@@ -150,11 +150,25 @@ _any_formula = st.recursive(
 def test_or_paths_come_in_path_order(f):
     path_sorted = sorted(((p, n) for p, n in subformulas(f) if isinstance(n, Or)),
                          key=lambda pn: pn[0])
-    assert _ordered_or_paths(f) == path_sorted
+    names, ors, by_number = _walk(f)
+    assert names == atom_names(f)
+    assert ors == path_sorted
+    # or-node n of `formula.or_nodes`, found by its pre-order index
+    assert [ors[i] for i in by_number] == or_nodes(f)
     # one or-node per path and two polarities per node: nothing to deduplicate
     for mode, opinionated in ((Mode.GAZDAR, ()), (Mode.SOAMES, _every_or_node(f))):
         scalar = potential_scalar(f, mode, opinionated)
         assert scalar == list(dict.fromkeys(scalar))
+
+
+@pytest.mark.parametrize("text, bodies", [
+    ("A or A", ["A", "not A"]),
+    ("A or not A", ["A", "not A", "not not A"]),
+    ("not A or A", ["not A", "not not A", "A"]),
+    ("not A or not A", ["not A", "not not A"]),
+])
+def test_clausal_bodies_that_repeat_a_disjunct_or_its_negation(text, bodies):
+    assert [unparse(c.body) for c in potential_clausal(parse(text))] == bodies
 
 
 def test_consistent_direct_contradiction():
@@ -527,41 +541,49 @@ def test_project_refuses_as_the_reference(text, error):
     (parse(" or ".join(["A"] * 13)), Mode.SOAMES, 35),
 ], ids=["6a", "2b", "2b-soames", "12-or chain", "12-or chain-soames"])
 def test_project_builds_no_belief_model(f, mode, suppressions):
-    # Each candidate gets a yes/no verdict over f's atoms, collected once:
-    # no `consistent` call, no witness world and one `atom_names` call in
-    # all. f is evaluated once, and every constraint's mask is read off
-    # that pass, so no truth table is computed; the suppressions reuse
-    # their failed tests' masks.
+    # Each candidate gets a yes/no verdict over f's atoms, collected by one
+    # walk of f that also finds its or-nodes: no `consistent` call, no
+    # witness world and no `atom_names` call. f is evaluated once, and
+    # every candidate's mask is built from its or-node's operand masks, so
+    # no truth table is computed; the suppressions reuse their failed
+    # tests' masks.
     with mock.patch.object(implicature, "consistent", wraps=consistent) as consistent_spy, \
             mock.patch.object(implicature, "world", wraps=implicature.world) as world_spy, \
             mock.patch.object(implicature, "atom_names", wraps=atom_names) as names_spy, \
-            mock.patch.object(implicature, "_pass_masks",
-                              wraps=implicature._pass_masks) as pass_spy, \
+            mock.patch.object(implicature, "_walk", wraps=_walk) as walk_spy, \
+            mock.patch.object(implicature, "_mask_pass",
+                              wraps=implicature._mask_pass) as pass_spy, \
             mock.patch.object(implicature, "truth_mask", wraps=truth_mask) as mask_spy:
         report = project(f, mode)
     assert consistent_spy.call_count == 0
     assert world_spy.call_count == 0
-    assert names_spy.call_count == 1
+    assert names_spy.call_count == 0
     assert len(report.suppressed) == suppressions
     assert mask_spy.call_count == 0
+    assert walk_spy.call_count == 1
+    assert walk_spy.call_args.args == (f,)
     assert pass_spy.call_count == 1
-    (evaluated, constraints), _ = pass_spy.call_args
-    assert evaluated is f
-    assert len(constraints) == (len(assertions(f)) + len(potential_clausal(f))
-                                + len(potential_scalar(f, mode)))
+    evaluated, names = pass_spy.call_args.args
+    assert evaluated is f and names == atom_names(f)
+    assert len(report.accepted) + len(report.suppressed) == (
+        len(assertions(f)) + len(potential_clausal(f)) + len(potential_scalar(f, mode)))
 
 
 def _assert_pass_masks_are_truth_masks(f):
-    constraints = [*assertions(f), *potential_clausal(f), *potential_scalar(f, Mode.GAZDAR)]
+    # gazdar mode's scalar list holds every body soames mode can emit
     names = atom_names(f)
-    universe, masks = implicature._pass_masks(f, constraints)
+    universe, asserted, candidates = implicature._candidates(f, Mode.GAZDAR, ())
     assert universe == (1 << 2 ** len(names)) - 1
-    assert masks == [(c.polarity is Polarity.K, truth_mask(c.body, names))
-                     for c in constraints]
+    assert asserted == [truth_mask(c.body, names) for c in assertions(f)]
+    scalar = potential_scalar(f, Mode.GAZDAR)
+    assert [c for c, _, _ in candidates] == [
+        *potential_clausal(f), *(c for c in scalar if c.provenance is Provenance.SCALAR_WEAK),
+        *(c for c in scalar if c.provenance is Provenance.SCALAR_STRONG)]
+    assert [(known, m) for _, known, m in candidates] == [
+        (c.polarity is Polarity.K, truth_mask(c.body, names)) for c, _, _ in candidates]
 
 
 def test_pass_masks_are_truth_masks_on_every_small_formula():
-    # gazdar mode's scalar list holds every body soames mode can emit
     formulas = and_or_formulas(3)
     assert len(formulas) == 237
     for f in formulas:
@@ -572,6 +594,23 @@ def test_pass_masks_are_truth_masks_on_every_small_formula():
 def test_pass_masks_are_truth_masks_on_formulas(f):
     # _any_formula reaches `not` and `xor`, which and_or_formulas never builds
     _assert_pass_masks_are_truth_masks(f)
+
+
+def test_a_shared_leaf_gets_the_same_mask_at_every_path():
+    # parse builds one leaf per name, so the leaves of A are one object
+    f = parse("(A or B) and (B or (C or A))")
+    leaves = {}
+    for _, node in subformulas(f):
+        if isinstance(node, AtomNode):
+            leaves.setdefault(node.atom.name, set()).add(id(node))
+    assert leaves and all(len(ids) == 1 for ids in leaves.values())
+    names = atom_names(f)
+    _, ors, _ = _walk(f)
+    _, _, operands = implicature._mask_pass(f, names)
+    assert [(unparse(node.left), unparse(node.right)) for _, node in ors] == \
+        [("A", "B"), ("B", "C or A"), ("C", "A")]
+    a, b, c = (truth_mask(parse(n), names) for n in "ABC")
+    assert operands == [(a, b), (b, c | a), (c, a)]
 
 
 def reference_minimal_clash_set(accepted, candidate):
@@ -610,10 +649,20 @@ def _failing_masks(draw):
     return masks, universe
 
 
+def _prefix_ands(masks, universe):
+    """below[i]: the AND of the K masks among masks[:i]; below[0] is the universe."""
+    below = [universe]
+    for known, m in masks:
+        below.append(below[-1] & m if known else below[-1])
+    return below
+
+
 @given(_failing_masks())
 def test_the_shrink_matches_the_trial_list_shrink(case):
     masks, universe = case
-    assert _minimal_clash_set(masks, universe) == trial_list_minimal_clash_set(masks, universe)
+    accepted, candidate = masks[:-1], masks[-1]
+    assert _minimal_clash_set(accepted, _prefix_ands(accepted, universe), candidate) == \
+        trial_list_minimal_clash_set(masks, universe)
 
 
 def _shrinks(f, mode):
@@ -622,22 +671,26 @@ def _shrinks(f, mode):
     the clash set its kept indices name in that accepted set."""
     calls = []
 
-    def spy(masks, universe):
-        kept = _minimal_clash_set(masks, universe)
-        calls.append((masks, universe, kept))
+    def spy(masks, below, candidate):
+        kept = _minimal_clash_set(masks, below, candidate)
+        calls.append((list(masks), list(below), candidate, kept))  # project appends later
         return kept
 
     with mock.patch.object(implicature, "_minimal_clash_set", spy):
         report = project(f, mode)
     assert len(calls) == len(report.suppressed)
     names = atom_names(f)
+    universe = (1 << 2 ** len(names)) - 1
     shrinks = []
-    for (masks, universe, kept), suppression in zip(calls, report.suppressed):
+    for (masks, below, candidate, kept), suppression in zip(calls, report.suppressed):
         # The accepted set only grows, so the shrink's is a prefix of the final one.
-        accepted = list(report.accepted[:len(masks) - 1])
+        accepted = list(report.accepted[:len(masks)])
         assert masks == [(c.polarity is Polarity.K, truth_mask(c.body, names))
-                         for c in accepted + [suppression.constraint]]
-        assert universe == (1 << 2 ** len(names)) - 1
+                         for c in accepted]
+        c = suppression.constraint
+        assert candidate == (c.polarity is Polarity.K, truth_mask(c.body, names))
+        # the prefix ANDs project keeps as it accepts
+        assert below == _prefix_ands(masks, universe)
         clash = tuple(accepted[j] for j in kept)
         assert clash == suppression.clashes_with
         shrinks.append((accepted, suppression.constraint, clash))
@@ -688,10 +741,11 @@ def test_a_shrink_computes_no_truth_table_and_collects_no_atoms():
     accepted, candidate, clash = calls[-1]
     assert len(accepted) > 20
     names = atom_names(f)
-    masks = [(c.polarity is Polarity.K, truth_mask(c.body, names))
-             for c in accepted + [candidate]]
+    masks = [(c.polarity is Polarity.K, truth_mask(c.body, names)) for c in accepted]
+    below = _prefix_ands(masks, (1 << 2 ** len(names)) - 1)
+    tested = (candidate.polarity is Polarity.K, truth_mask(candidate.body, names))
     with mock.patch.object(implicature, "truth_mask", wraps=truth_mask) as mask_spy, \
             mock.patch.object(implicature, "atom_names", wraps=atom_names) as names_spy:
-        kept = _minimal_clash_set(masks, (1 << 2 ** len(names)) - 1)
+        kept = _minimal_clash_set(masks, below, tested)
     assert mask_spy.call_count == names_spy.call_count == 0
     assert tuple(accepted[j] for j in kept) == clash
