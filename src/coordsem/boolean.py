@@ -1,6 +1,7 @@
 """Classical truth-table semantics: evaluation, equivalence with
 counterexample extraction, law checking under connective substitution, and
-the meet/join duality transform, over one truth-table kernel.
+the meet/join duality transform, over one truth-table kernel, `_evaluate`,
+which `implicature.project` reads too.
 
 World order, shared by every module that searches truth assignments and
 defined only by the atom masks `_ATOM_MASKS`: lexicographic over the names
@@ -63,11 +64,9 @@ def eval_formula(f: Formula, v: Assignment) -> bool:
 def assignments(names: Sequence[str]) -> Iterator[dict[str, bool]]:
     """All assignments over names in the world order: `world(names, i)` for
     i = 0, 1, ..., all-true first."""
-    if len(names) > ATOM_LIMIT:
-        raise AtomLimitError(
-            f"{len(names)} atoms exceed the exhaustive-evaluation limit {ATOM_LIMIT}")
+    masks = _name_masks(names).items()
     for i in range(1 << len(names)):
-        yield world(names, i)
+        yield {name: bool(m >> i & 1) for name, m in masks}
 
 
 def _name_masks(names: Sequence[str]) -> dict[str, int]:
@@ -78,28 +77,39 @@ def _name_masks(names: Sequence[str]) -> dict[str, int]:
     return dict(zip(names, _ATOM_MASKS[len(names)]))
 
 
+def _evaluate(node: Formula, atom: Mapping[str, int], universe: int,
+              operands: list[tuple[int, int]]) -> int:
+    """The truth mask of node, bottom-up, given each atom's mask and the
+    mask of all worlds, appending the masks of each or-node's two operands
+    to `operands` in pre-order. An atom missing from `atom` raises KeyError."""
+    kind = type(node)
+    if kind is AtomNode:
+        return atom[node.atom.name]
+    if kind is Not:
+        return universe ^ _evaluate(node.child, atom, universe, operands)
+    if kind is Or:
+        index = len(operands)  # taken on entry: the pre-order index
+        operands.append((0, 0))
+        left = _evaluate(node.left, atom, universe, operands)
+        right = _evaluate(node.right, atom, universe, operands)
+        operands[index] = left, right
+        return left | right
+    if kind is And:
+        return _evaluate(node.left, atom, universe, operands) & \
+            _evaluate(node.right, atom, universe, operands)
+    return _evaluate(node.left, atom, universe, operands) ^ \
+        _evaluate(node.right, atom, universe, operands)
+
+
 def truth_mask(f: Formula, names: Sequence[str]) -> int:
     """The truth table of f over names as a bitset: bit i is set iff f holds
     in the i-th of `assignments(names)`."""
     masks = _name_masks(names)
-    universe = (1 << 2 ** len(names)) - 1
-
-    def go(node: Formula) -> int:
-        if isinstance(node, AtomNode):
-            try:
-                return masks[node.atom.name]
-            except KeyError:
-                raise MissingAtomError(
-                    f"atom {node.atom.name!r} is not among {list(names)}") from None
-        if isinstance(node, Not):
-            return universe ^ go(node.child)
-        if isinstance(node, And):
-            return go(node.left) & go(node.right)
-        if isinstance(node, Or):
-            return go(node.left) | go(node.right)
-        return go(node.left) ^ go(node.right)
-
-    return go(f)
+    try:
+        return _evaluate(f, masks, (1 << 2 ** len(names)) - 1, [])
+    except KeyError as missing:
+        raise MissingAtomError(
+            f"atom {missing.args[0]!r} is not among {list(names)}") from None
 
 
 def world(names: Sequence[str], i: int) -> dict[str, bool]:

@@ -111,14 +111,43 @@ def atom_names(f: Formula) -> list[str]:
     return sorted(atoms(f))
 
 
+def _walk(f: Formula) -> tuple[list[str], list[tuple[tuple[int, ...], Or]], list[int]]:
+    """One walk of f: its atom names, sorted; its or-nodes with their paths,
+    in pre-order, which is path order; and, for each or-node number n (see
+    `or_nodes`), the pre-order index of or-node n. An or-node's number
+    counts the or-nodes an in-order walk visits before it, so it is taken
+    between the node's two subtrees."""
+    names: set[str] = set()
+    ors: list[tuple[tuple[int, ...], Or]] = []
+    by_number: list[int] = []
+
+    def go(node: Formula, path: tuple[int, ...]) -> None:
+        kind = type(node)
+        if kind is AtomNode:
+            names.add(node.atom.name)
+        elif kind is Not:
+            go(node.child, path + (0,))
+        elif kind is Or:
+            index = len(ors)
+            ors.append((path, node))
+            go(node.left, path + (0,))
+            by_number.append(index)
+            go(node.right, path + (1,))
+        else:
+            go(node.left, path + (0,))
+            go(node.right, path + (1,))
+
+    go(f, ())
+    return sorted(names), ors, by_number
+
+
 def or_nodes(f: Formula) -> list[tuple[tuple[int, ...], Or]]:
     """All Or nodes with their paths, in the order of their numbers: or-node
-    i is the i-th `or` keyword of `unparse(f)`. That order is in-order, so
-    the sort key puts a node after its left subtree (child index 0 -> 0) and
-    before its right one (1 -> 2)."""
-    nodes = [(p, n) for p, n in subformulas(f) if isinstance(n, Or)]
-    nodes.sort(key=lambda pn: [2 * i for i in pn[0]] + [1])
-    return nodes
+    i is the i-th `or` keyword of `unparse(f)`. That order is in-order, a
+    node after its left subtree and before its right one, and is read off
+    `_walk`'s numbering, so one Or object at two positions is two nodes."""
+    _, ors, by_number = _walk(f)
+    return [ors[i] for i in by_number]
 
 
 def _rebuild(f: Formula, leaf: Callable[[AtomNode], Formula],

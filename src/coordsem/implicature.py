@@ -11,14 +11,15 @@ suppresses any candidate that would make the set unsatisfiable by a belief
 model (a nonempty set of worlds: K phi holds iff phi is true at every
 world, notK phi iff phi fails somewhere). One rule, `_verdict`, decides
 that from the truth masks of the bodies. `project` walks the formula once
-for its atoms and or-nodes and evaluates it once, keeping the masks of each
-or-node's operands, and builds every candidate together with its mask from
-those, so no candidate computes a truth table. It keeps the accepted set as
-one running state, the K-worlds and the notK masks, so each candidate is
-decided by a few bit operations, and keeps the K-worlds after each
-acceptance, so a suppressed candidate's clash set is shrunk on the masks of
-its failed test with those prefix ANDs and a running state, building no
-trial list. `potential_clausal` and `potential_scalar` read the same walk
+for its atoms and or-nodes, with the walk that numbers the or-nodes
+(`formula._walk`), and evaluates it once, with the evaluator behind
+`boolean.truth_mask`, keeping the masks of each or-node's operands. It
+builds every candidate together with its mask from those, so no candidate
+computes a truth table. It keeps the accepted set as one running state,
+the K-worlds and the notK masks, so each candidate is decided by a few bit
+operations, and keeps the K-worlds after each acceptance, so a suppressed
+candidate's clash set is shrunk on the masks of its failed test with those
+prefix ANDs and a running state, building no trial list. `potential_clausal` and `potential_scalar` read the same walk
 and build the same constraints, without masks. `consistent` also builds the
 least belief model from the rule's answer, greedily, for callers that want
 the witness, so the only atom limit is `boolean.ATOM_LIMIT`.
@@ -35,9 +36,9 @@ from itertools import islice
 from typing import Container, Iterable, Optional, Sequence
 
 from ._record import Record
-from .boolean import ATOM_LIMIT, _name_masks, truth_mask, world
+from .boolean import ATOM_LIMIT, _evaluate, _name_masks, truth_mask, world
 from .errors import WorkbenchError
-from .formula import And, AtomNode, Formula, Not, Or, atom_names, unparse
+from .formula import And, Formula, Not, Or, _walk, atom_names, unparse
 
 EPISTEMIC_ATOM_LIMIT = ATOM_LIMIT  # read by benchmarks/; ROADMAP item 1 drops it
 
@@ -101,36 +102,6 @@ def assertions(f: Formula) -> list[EpistemicConstraint]:
         out.append(EpistemicConstraint(Polarity.K, f.right, Provenance.ASSERTION, (1,)))
     out.append(EpistemicConstraint(Polarity.K, f, Provenance.ASSERTION, ()))
     return out
-
-
-def _walk(f: Formula) -> tuple[list[str], list[tuple[tuple[int, ...], Or]], list[int]]:
-    """One walk of f: its atom names, sorted; its or-nodes with their paths,
-    in pre-order, which is path order; and, for each or-node number n (see
-    `formula.or_nodes`), the pre-order index of or-node n. An or-node's
-    number counts the or-nodes an in-order walk visits before it, so it is
-    taken between the node's two subtrees."""
-    names: set[str] = set()
-    ors: list[tuple[tuple[int, ...], Or]] = []
-    by_number: list[int] = []
-
-    def go(node: Formula, path: tuple[int, ...]) -> None:
-        kind = type(node)
-        if kind is AtomNode:
-            names.add(node.atom.name)
-        elif kind is Not:
-            go(node.child, path + (0,))
-        elif kind is Or:
-            index = len(ors)
-            ors.append((path, node))
-            go(node.left, path + (0,))
-            by_number.append(index)
-            go(node.right, path + (1,))
-        else:
-            go(node.left, path + (0,))
-            go(node.right, path + (1,))
-
-    go(f, ())
-    return sorted(names), ors, by_number
 
 
 def _strong(f: Formula, mode: Mode, opinionated: Sequence[int],
@@ -221,38 +192,6 @@ def _masks(constraints: Iterable[EpistemicConstraint],
     """Each constraint as (is it K, its body's truth mask over `names`),
     which must include every atom of the bodies."""
     return [(c.polarity is Polarity.K, truth_mask(c.body, names)) for c in constraints]
-
-
-def _mask_pass(f: Formula, names: Sequence[str]) -> tuple[int, list[int], list[tuple[int, int]]]:
-    """The universe over `names`, which must hold every atom of f, the masks
-    of the bodies of `assertions(f)` in order, and the masks of each
-    or-node's two operands, in pre-order, from one bottom-up evaluation of
-    f. More than ATOM_LIMIT names are refused, as `truth_mask` refuses
-    them, before the universe."""
-    atom = _name_masks(names)
-    universe = (1 << 2 ** len(names)) - 1
-    operands: list[tuple[int, int]] = []
-
-    def go(node: Formula) -> int:
-        kind = type(node)
-        if kind is AtomNode:
-            return atom[node.atom.name]
-        if kind is Not:
-            return universe ^ go(node.child)
-        if kind is Or:
-            index = len(operands)  # taken on entry: the pre-order index
-            operands.append((0, 0))
-            left, right = go(node.left), go(node.right)
-            operands[index] = left, right
-            return left | right
-        if kind is And:
-            return go(node.left) & go(node.right)
-        return go(node.left) ^ go(node.right)
-
-    if type(f) is And:
-        left, right = go(f.left), go(f.right)
-        return universe, [left, right, left & right], operands
-    return universe, [go(f)], operands
 
 
 def _verdict(masks: Sequence[tuple[bool, int]], universe: int) -> Optional[tuple[int, list[int]]]:
@@ -384,7 +323,15 @@ def _candidates(f: Formula, mode: Mode, opinionated: Sequence[int]
     mask. Opinionated ids are refused before the atom limit."""
     names, ors, by_number = _walk(f)
     strong = _strong(f, mode, opinionated, by_number)
-    universe, asserted, operands = _mask_pass(f, names)
+    atom = _name_masks(names)  # refuses > ATOM_LIMIT names before the universe
+    universe = (1 << 2 ** len(names)) - 1
+    operands: list[tuple[int, int]] = []  # each or-node's operand masks, in pre-order
+    if type(f) is And:
+        left = _evaluate(f.left, atom, universe, operands)
+        right = _evaluate(f.right, atom, universe, operands)
+        asserted = [left, right, left & right]
+    else:
+        asserted = [_evaluate(f, atom, universe, operands)]
     clausal: list[_Candidate] = []
     weak: list[_Candidate] = []
     strong_forms: list[_Candidate] = []
@@ -406,16 +353,18 @@ def project(
     one at a time iff the accepted set stays satisfiable, suppressed
     candidates carrying their minimal clash set.
 
-    f is walked once for its atoms and or-nodes (`_walk`) and evaluated
-    once over those atoms (`_mask_pass`): every tested set contains K(f)
-    and every body is built from f's subformulas, so these are the atoms
-    `consistent` would collect. Each candidate is built with its mask from
-    its or-node's operand masks m_l and m_r: m and U ^ m for a disjunct and
-    its negation, m_l & m_r for the weak form, U ^ (m_l & m_r) for the
-    strong one. The accepted set is kept as one running state: its K-worlds
-    k and its notK masks. A notK candidate with mask m passes iff k & ~m is
-    nonzero; a K candidate iff k & m is nonzero and leaves every need,
-    (k & m) & ~n for each notK mask n, nonzero. These are `_verdict`'s
+    f is walked once for its atoms and or-nodes (`formula._walk`) and
+    evaluated once over those atoms by `truth_mask`'s evaluator
+    (`boolean._evaluate`), called on f, or on its conjuncts if f is an And:
+    every tested set contains K(f) and every body is built from f's
+    subformulas, so these are the atoms `consistent` would collect. Each
+    candidate is built with its mask from its or-node's operand masks m_l
+    and m_r: m and U ^ m for a disjunct and its negation, m_l & m_r for the
+    weak form, U ^ (m_l & m_r) for the strong one. The accepted set is kept
+    as one running state: its K-worlds k and its notK masks. A notK
+    candidate with mask m passes iff k & ~m is nonzero; a K candidate iff
+    k & m is nonzero and leaves every need, (k & m) & ~n for each notK mask
+    n, nonzero. These are `_verdict`'s
     answers, since the accepted set is satisfiable. The K-worlds after each
     acceptance are kept too, as the prefix ANDs a failed test hands to
     `_minimal_clash_set` with the accepted masks and the candidate's. No

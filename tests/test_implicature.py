@@ -33,16 +33,16 @@ from coordsem import (
     WorkbenchError,
     Xor,
 )
-from coordsem.boolean import ATOM_LIMIT, truth_mask
-from coordsem.formula import atom_names, or_nodes, subformulas
+from coordsem.boolean import ATOM_LIMIT, _evaluate, _name_masks, truth_mask
+from coordsem.formula import IDE2, _walk, atom_names, instantiate, or_nodes, subformulas
 from coordsem import implicature
 from coordsem.implicature import (
     EpistemicConstraint,
     Suppression,
     _minimal_clash_set,
-    _walk,
 )
-from small_scope import and_or_formulas
+from small_scope import and_or_formulas, connective_formulas
+from test_formula import _in_order_ors
 
 
 def _c(polarity, text, provenance=Provenance.ASSERTION, source=()):
@@ -153,8 +153,8 @@ def test_or_paths_come_in_path_order(f):
     names, ors, by_number = _walk(f)
     assert names == atom_names(f)
     assert ors == path_sorted
-    # or-node n of `formula.or_nodes`, found by its pre-order index
-    assert [ors[i] for i in by_number] == or_nodes(f)
+    # or-node n, found by its pre-order index, is the reference's or-node n
+    assert [ors[i] for i in by_number] == _in_order_ors(f)
     # one or-node per path and two polarities per node: nothing to deduplicate
     for mode, opinionated in ((Mode.GAZDAR, ()), (Mode.SOAMES, _every_or_node(f))):
         scalar = potential_scalar(f, mode, opinionated)
@@ -508,18 +508,32 @@ def test_project_matches_the_reference_on_one_atom_or_chains(ors):
     _assert_projects_as_the_reference(f, Mode.SOAMES, tuple(range(0, ors, 2)))
 
 
-def test_project_matches_the_reference_on_every_small_formula():
-    # each formula in gazdar mode, soames mode and soames mode with every
-    # or-node opinionated
-    checked = suppressed = 0
-    for f in and_or_formulas(3):
+def projects_as_the_reference(formulas):
+    """Check `project` against `reference_project` on each formula in gazdar
+    mode, soames mode and soames mode with every or-node opinionated. Returns
+    the number of projections, of suppressions and of refused projections."""
+    checked = suppressed = refused = 0
+    for f in formulas:
         for mode, opinionated in ((Mode.GAZDAR, ()), (Mode.SOAMES, ()),
                                   (Mode.SOAMES, _every_or_node(f))):
             got = _outcome(project, f, mode, opinionated)
-            assert got == _outcome(reference_project, f, mode, opinionated)
+            assert got == _outcome(reference_project, f, mode, opinionated), \
+                (unparse(f), mode, opinionated)
             checked += 1
-            suppressed += len(got["suppressed"])
-    assert (checked, suppressed) == (711, 732)
+            if isinstance(got, dict):
+                suppressed += len(got["suppressed"])
+            else:
+                refused += 1
+    return checked, suppressed, refused
+
+
+def test_project_matches_the_reference_on_every_small_formula():
+    assert projects_as_the_reference(and_or_formulas(3)) == (711, 732, 0)
+
+
+def test_project_matches_the_reference_with_not_and_xor():
+    # every formula with at most 2 leaves; CI runs those with at most 3
+    assert projects_as_the_reference(connective_formulas(2)) == (666, 210, 72)
 
 
 @pytest.mark.parametrize("text, error", [
@@ -543,16 +557,16 @@ def test_project_refuses_as_the_reference(text, error):
 def test_project_builds_no_belief_model(f, mode, suppressions):
     # Each candidate gets a yes/no verdict over f's atoms, collected by one
     # walk of f that also finds its or-nodes: no `consistent` call, no
-    # witness world and no `atom_names` call. f is evaluated once, and
-    # every candidate's mask is built from its or-node's operand masks, so
-    # no truth table is computed; the suppressions reuse their failed
-    # tests' masks.
+    # witness world and no `atom_names` call. f is evaluated once, one
+    # evaluator call per part (f, or its two conjuncts), and every
+    # candidate's mask is built from its or-node's operand masks, so no
+    # truth table is computed; the suppressions reuse their failed tests'
+    # masks.
     with mock.patch.object(implicature, "consistent", wraps=consistent) as consistent_spy, \
             mock.patch.object(implicature, "world", wraps=implicature.world) as world_spy, \
             mock.patch.object(implicature, "atom_names", wraps=atom_names) as names_spy, \
             mock.patch.object(implicature, "_walk", wraps=_walk) as walk_spy, \
-            mock.patch.object(implicature, "_mask_pass",
-                              wraps=implicature._mask_pass) as pass_spy, \
+            mock.patch.object(implicature, "_evaluate", wraps=_evaluate) as evaluate_spy, \
             mock.patch.object(implicature, "truth_mask", wraps=truth_mask) as mask_spy:
         report = project(f, mode)
     assert consistent_spy.call_count == 0
@@ -562,11 +576,22 @@ def test_project_builds_no_belief_model(f, mode, suppressions):
     assert mask_spy.call_count == 0
     assert walk_spy.call_count == 1
     assert walk_spy.call_args.args == (f,)
-    assert pass_spy.call_count == 1
-    evaluated, names = pass_spy.call_args.args
-    assert evaluated is f and names == atom_names(f)
+    parts = (f.left, f.right) if isinstance(f, And) else (f,)
+    assert evaluate_spy.call_count == len(parts)
+    for part, call in zip(parts, evaluate_spy.call_args_list):
+        evaluated, atom, _, _ = call.args
+        assert evaluated is part and list(atom) == atom_names(f)
     assert len(report.accepted) + len(report.suppressed) == (
         len(assertions(f)) + len(potential_clausal(f)) + len(potential_scalar(f, mode)))
+
+
+def _operand_masks(f):
+    """The masks of the operands of f's or-nodes, in pre-order, from one
+    evaluation of f over its atoms."""
+    names = atom_names(f)
+    operands = []
+    _evaluate(f, _name_masks(names), (1 << 2 ** len(names)) - 1, operands)
+    return operands
 
 
 def _assert_pass_masks_are_truth_masks(f):
@@ -604,13 +629,26 @@ def test_a_shared_leaf_gets_the_same_mask_at_every_path():
         if isinstance(node, AtomNode):
             leaves.setdefault(node.atom.name, set()).add(id(node))
     assert leaves and all(len(ids) == 1 for ids in leaves.values())
-    names = atom_names(f)
     _, ors, _ = _walk(f)
-    _, _, operands = implicature._mask_pass(f, names)
     assert [(unparse(node.left), unparse(node.right)) for _, node in ors] == \
         [("A", "B"), ("B", "C or A"), ("C", "A")]
-    a, b, c = (truth_mask(parse(n), names) for n in "ABC")
-    assert operands == [(a, b), (b, c | a), (c, a)]
+    a, b, c = (truth_mask(parse(n), atom_names(f)) for n in "ABC")
+    assert _operand_masks(f) == [(a, b), (b, c | a), (c, a)]
+
+
+def test_one_or_object_at_two_positions_is_two_or_nodes():
+    # instantiate puts the one bound formula at both places of X in X and X,
+    # so nothing keyed on the node object may number or evaluate it
+    f, _ = instantiate(IDE2, {"X": parse("A or B")})
+    assert f.left is f.right
+    assert [path for path, _ in or_nodes(f)] == [(0,), (1,)]
+    a, b = (truth_mask(parse(n), ["A", "B"]) for n in "AB")
+    assert _operand_masks(f) == [(a, b), (a, b)]
+    twice = parse("(A or B) and (A or B)")
+    assert twice.left is not twice.right
+    for mode, opinionated in ((Mode.GAZDAR, ()), (Mode.SOAMES, ()), (Mode.SOAMES, (1,))):
+        assert project(f, mode, opinionated).serialize() == \
+            project(twice, mode, opinionated).serialize()
 
 
 def reference_minimal_clash_set(accepted, candidate):

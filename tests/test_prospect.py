@@ -222,12 +222,13 @@ def reference_options(f) -> tuple[Prospect, ...]:
     return tuple(seen)
 
 
-def _reference_judge(f):
-    """Double images over the enumerated options; an or-node is Hobson's
-    choice when its branches, each enumerated on its own, give equal sets."""
+def _reference_judge(f, options):
+    """Double images over f's enumerated `options` (`reference_options(f)`,
+    which the caller has already built); an or-node is Hobson's choice when
+    its branches, each enumerated on its own, give equal sets."""
     aspect = {name: atom.aspect for name, atom in atoms(f).items()}
     doubles = tuple((p, name, coeff)
-                    for p in OptionSet(reference_options(f)).sorted()
+                    for p in OptionSet(options).sorted()
                     for name, coeff in p.parts
                     if coeff >= 2 and aspect[name] == STATIVE)
     hobsons = tuple(n for n, (_, node) in enumerate(or_nodes(f))
@@ -261,15 +262,17 @@ _mixed_denotable = st.recursive(
 @example(parse("(A or A) and (B or (C or C))"))
 @example(parse("A or (A or B)"))
 def test_options_match_the_enumerator(f):
-    assert denote_options(f).prospects == reference_options(f)
-    assert judge(f) == _reference_judge(f)
+    options = reference_options(f)
+    assert denote_options(f).prospects == options
+    assert judge(f) == _reference_judge(f, options)
 
 
 def test_options_match_the_enumerator_on_every_small_formula():
     formulas = and_or_formulas(3)
     for f in formulas:
-        assert denote_options(f).prospects == reference_options(f)
-        assert judge(f) == _reference_judge(f)
+        options = reference_options(f)
+        assert denote_options(f).prospects == options
+        assert judge(f) == _reference_judge(f, options)
     assert len(formulas) == 237
 
 
@@ -282,8 +285,9 @@ def test_options_match_the_enumerator_on_every_small_formula():
     ("A or (A or B)", ()),
 ])
 def test_pinned_hobson_nodes(text, nodes):
-    assert judge(parse(text)).hobson_nodes == nodes
-    assert _reference_judge(parse(text)).hobson_nodes == nodes
+    f = parse(text)
+    assert judge(f).hobson_nodes == nodes
+    assert _reference_judge(f, reference_options(f)).hobson_nodes == nodes
 
 
 def test_judge_makes_one_option_pass():
