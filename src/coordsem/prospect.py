@@ -13,6 +13,10 @@ assignment that yields them. Diagnostics on the option set reproduce
 acceptability judgments: an option giving a stative atom a coefficient >= 2
 is a double image ("A and A"); an `or` whose branches denote identically
 offers no real alternative (Hobson's choice, "A or A"), found by the same pass.
+One walk before the pass counts the or-nodes, collects each atom's aspect
+and refuses an unsupported connective. Two option sets are compared through
+one hash set per side, with each prospect hashed into its side's set once, so
+the comparison is linear in the sets' sizes.
 
 Negation and xor have no vector denotation here and raise
 UnsupportedConnectiveError.
@@ -23,7 +27,7 @@ from __future__ import annotations
 from enum import Enum
 from itertools import count, product
 from operator import itemgetter
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from ._record import Record
 from .errors import SizeLimitError, UnsupportedConnectiveError, WorkbenchError
@@ -35,7 +39,6 @@ from .formula import (
     Or,
     STATIVE,
     Xor,
-    atoms,
     or_nodes,
 )
 
@@ -46,8 +49,13 @@ Parts = tuple[tuple[str, int], ...]  # a prospect's sorted (name, coeff) pairs
 
 
 def _merge(a: Parts, b: Parts) -> Parts:
-    """Vector sum of two sorted parts tuples. A pair present on one side
-    only is reused, not rebuilt."""
+    """Vector sum of two sorted, nonempty parts tuples. A pair present on one
+    side only is reused, not rebuilt; when every name of one side precedes
+    every name of the other, the sum is the two tuples joined."""
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     out = []
     i = j = 0
     while i < len(a) and j < len(b):
@@ -134,16 +142,29 @@ class OptionSet(Record):
         return [p.serialize() for p in self.sorted()]
 
 
-def _check_denotable(f: Formula) -> int:
-    """The number of f's or-nodes. Raises UnsupportedConnectiveError at the
-    first `not` or `xor` in pre-order."""
-    if isinstance(f, Not):
-        raise UnsupportedConnectiveError("negation has no vector denotation")
-    if isinstance(f, Xor):
-        raise UnsupportedConnectiveError("xor has no vector denotation")
-    if isinstance(f, AtomNode):
-        return 0
-    return isinstance(f, Or) + _check_denotable(f.left) + _check_denotable(f.right)
+def _prewalk(f: Formula) -> tuple[int, dict[str, str]]:
+    """One pre-order walk of f before its option pass: the number of its
+    or-nodes, and each atom name's aspect, names in textual order, the first
+    occurrence deciding (as in `atoms`). Raises UnsupportedConnectiveError at
+    the first `not` or `xor` in pre-order. The walk keeps its own stack, so
+    it builds no closure."""
+    ors = 0
+    aspects: dict[str, str] = {}
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is AtomNode:
+            aspects.setdefault(node.atom.name, node.atom.aspect)
+        elif kind is Not:
+            raise UnsupportedConnectiveError("negation has no vector denotation")
+        elif kind is Xor:
+            raise UnsupportedConnectiveError("xor has no vector denotation")
+        else:
+            ors += kind is Or
+            stack.append(node.right)
+            stack.append(node.left)
+    return ors, aspects
 
 
 def _within_limit(ors: int) -> int:
@@ -157,7 +178,7 @@ def denote_one(f: Formula, c: CoefficientAssignment) -> Prospect:
     atoms, vector addition at `and`, branch choice at `or` (1 = left). The
     assignment is keyed by or-node number and must cover every or-node; the
     first one missing in textual order is reported."""
-    for n in range(_check_denotable(f)):
+    for n in range(_prewalk(f)[0]):
         if n not in c:
             raise WorkbenchError(f"coefficient assignment lacks or-node {n}")
         if c[n] not in (0, 1):
@@ -189,8 +210,10 @@ def denote_options(f: Formula) -> OptionSet:
     return _option_pass(f)[0]
 
 
-def _option_pass(f: Formula) -> tuple[OptionSet, tuple[int, ...]]:
-    """f's option set and its Hobson nodes' numbers, sorted, from one pass.
+def _option_pass(f: Formula) -> tuple[OptionSet, tuple[int, ...], dict[str, str]]:
+    """f's option set, its Hobson nodes' numbers, sorted, and its atoms'
+    aspects, from one walk before the pass (`_prewalk`) and one pass, so
+    `_judged` walks f for nothing else.
 
     The pass numbers each or-node after its left subtree, as `or_nodes`
     does. Assignment i of `coefficient_assignments` sets or-node n to 0
@@ -201,7 +224,8 @@ def _option_pass(f: Formula) -> tuple[OptionSet, tuple[int, ...]]:
     the smaller key; sorting by key gives the order of first appearance. An
     or-node is Hobson's choice when its branches' dicts have the same keys
     (not values), compared before the right is merged in."""
-    k = _within_limit(_check_denotable(f))
+    ors, aspects = _prewalk(f)
+    k = _within_limit(ors)
     number = count()
     hobsons = []
 
@@ -226,7 +250,8 @@ def _option_pass(f: Formula) -> tuple[OptionSet, tuple[int, ...]]:
         return left
 
     keyed = sorted(go(f).items(), key=itemgetter(1))
-    return OptionSet(tuple(Prospect(parts) for parts, _ in keyed)), tuple(sorted(hobsons))
+    options = OptionSet(tuple(Prospect(parts) for parts, _ in keyed))
+    return options, tuple(sorted(hobsons)), aspects
 
 
 def _keep_first(options: dict[Parts, int], parts: Parts, key: int) -> None:
@@ -247,19 +272,23 @@ class OptionComparison(Record):
 def option_equivalent(f: Formula, g: Formula) -> OptionComparison:
     """Set equality of the two option sets. On inequality the witness is the
     first prospect of g (in canonical coefficient order) missing from f's
-    options, else the first of f missing from g's."""
+    options, else the first of f missing from g's. Time is linear in the
+    two sets' sizes."""
     return _compare_options(denote_options(f), denote_options(g))
 
 
 def _compare_options(fo: OptionSet, go_: OptionSet) -> OptionComparison:
-    """`option_equivalent` on the two formulas' option sets."""
-    if fo == go_:
+    """`option_equivalent` on the two formulas' option sets. Each side's
+    prospects go into one hash set, so each is hashed once to decide
+    equality, and the witness search looks each prospect up once."""
+    f_set, g_set = set(fo.prospects), set(go_.prospects)
+    if f_set == g_set:
         return OptionComparison(True)
     for p in go_:
-        if p not in fo:
+        if p not in f_set:
             return OptionComparison(False, witness=p)
     for p in fo:
-        if p not in go_:
+        if p not in g_set:
             return OptionComparison(False, witness=p)
     raise AssertionError("unreachable: unequal sets with empty symmetric difference")
 
@@ -294,11 +323,12 @@ def judge(f: Formula) -> Judgment:
 
 
 def _judged(f: Formula) -> tuple[OptionSet, Judgment]:
-    """f's option set and judgment, from one option pass."""
-    options, hobsons = _option_pass(f)
-    aspect = {name: atom.aspect for name, atom in atoms(f).items()}
-    doubles = tuple((p, name, coeff) for p in options.sorted() for name, coeff in p.parts
-                    if coeff >= 2 and aspect[name] == STATIVE)
+    """f's option set and judgment, from one option pass. The options are
+    sorted for the double images only when there is one."""
+    options, hobsons, aspects = _option_pass(f)
+    doubles: tuple[tuple[Prospect, str, int], ...] = ()
+    if next(_double_images(options, aspects), None):
+        doubles = tuple(_double_images(options.sorted(), aspects))
     if doubles:
         category = Category.WEIRD_DOUBLE_IMAGE
     elif hobsons:
@@ -306,3 +336,10 @@ def _judged(f: Formula) -> tuple[OptionSet, Judgment]:
     else:
         category = Category.ACCEPTABLE
     return options, Judgment(category, doubles, hobsons)
+
+
+def _double_images(prospects: Iterable[Prospect],
+                   aspects: Mapping[str, str]) -> Iterator[tuple[Prospect, str, int]]:
+    """Each (option, atom, coefficient) with a stative atom at coefficient >= 2."""
+    return ((p, name, coeff) for p in prospects for name, coeff in p.parts
+            if coeff >= 2 and aspects[name] == STATIVE)
