@@ -143,11 +143,6 @@ def equivalent(f: Formula, g: Formula) -> LawVerdict:
     return LawVerdict(Verdict.INVALID, counterexample=world(names, first))
 
 
-def entails(f: Formula, g: Formula) -> bool:
-    names = sorted(set(atom_names(f)) | set(atom_names(g)))
-    return truth_mask(f, names) & ~truth_mask(g, names) == 0
-
-
 def check_law(schema: LawSchema) -> LawVerdict:
     """Instantiate the schema's metavariables with distinct fresh atoms and
     test the two sides for truth-table equivalence. By functional

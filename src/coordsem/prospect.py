@@ -16,7 +16,9 @@ offers no real alternative (Hobson's choice, "A or A"), found by the same pass.
 One walk before the pass counts the or-nodes, collects each atom's aspect
 and refuses an unsupported connective. Two option sets are compared through
 one hash set per side, with each prospect hashed into its side's set once, so
-the comparison is linear in the sets' sizes.
+the comparison is linear in the sets' sizes. The pass and `Prospect.add` build
+their prospects unchecked, since their parts are valid by construction;
+`Prospect(...)` and `Prospect.from_dict` check every part.
 
 Negation and xor have no vector denotation here and raise
 UnsupportedConnectiveError.
@@ -29,7 +31,7 @@ from itertools import count, product
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional
 
-from ._record import Record
+from ._record import Record, _set
 from .errors import SizeLimitError, UnsupportedConnectiveError, WorkbenchError
 from .formula import (
     And,
@@ -77,17 +79,19 @@ def _merge(a: Parts, b: Parts) -> Parts:
 
 class Prospect(Record):
     """Immutable vector over atom names; entries are positive integers
-    (absent means zero). Never the null vector."""
+    (absent means zero). Never the null vector. Its parts name each atom
+    once, in increasing order."""
 
     parts: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.parts:
+        parts = self.parts
+        if not parts:
             raise ValueError("the null vector is not a sentence denotation")
-        if any(coeff <= 0 for _, coeff in self.parts):
+        if any(coeff <= 0 for _, coeff in parts):
             raise ValueError("prospect coefficients must be positive")
-        if list(self.parts) != sorted(self.parts):
-            raise ValueError("prospect parts must be sorted by atom name")
+        if any(a >= b for (a, _), (b, _) in zip(parts, parts[1:])):
+            raise ValueError("prospect parts must be sorted by atom name, each name once")
 
     @classmethod
     def from_dict(cls, coeffs: Mapping[str, int]) -> "Prospect":
@@ -97,13 +101,26 @@ class Prospect(Record):
         return dict(self.parts)
 
     def add(self, other: "Prospect") -> "Prospect":
-        return Prospect(_merge(self.parts, other.parts))
+        return _unchecked(_merge(self.parts, other.parts))
 
     def __str__(self) -> str:
         return " + ".join(name for name, coeff in self.parts for _ in range(coeff))
 
     def serialize(self) -> list[list[object]]:
         return [[name, coeff] for name, coeff in self.parts]
+
+
+_new = object.__new__
+
+
+def _unchecked(parts: Parts) -> Prospect:
+    """The prospect of parts that are valid by construction (nonempty,
+    positive, names strictly increasing), such as `_merge` makes from valid
+    parts: binds `parts` as the generated `__init__` does, without
+    `__post_init__`."""
+    p = _new(Prospect)
+    _set(p, "parts", parts)
+    return p
 
 
 class OptionSet(Record):
@@ -223,7 +240,9 @@ def _option_pass(f: Formula) -> tuple[OptionSet, tuple[int, ...], dict[str, str]
     keys grow by its or-node's bit. Where a prospect arises twice it keeps
     the smaller key; sorting by key gives the order of first appearance. An
     or-node is Hobson's choice when its branches' dicts have the same keys
-    (not values), compared before the right is merged in."""
+    (not values), compared before the right is merged in. The prospects are
+    built unchecked (`_unchecked`): atoms give one positive part, and
+    `_merge` keeps parts sorted, positive and each name once."""
     ors, aspects = _prewalk(f)
     k = _within_limit(ors)
     number = count()
@@ -235,30 +254,31 @@ def _option_pass(f: Formula) -> tuple[OptionSet, tuple[int, ...], dict[str, str]
         left = go(node.left)
         if isinstance(node, And):
             out: dict[Parts, int] = {}
+            seen = out.get
             right = go(node.right)
             for x, kx in left.items():
                 for y, ky in right.items():
-                    _keep_first(out, _merge(x, y), kx + ky)
+                    parts, key = _merge(x, y), kx + ky
+                    old = seen(parts)
+                    if old is None or key < old:
+                        out[parts] = key
             return out
         n = next(number)
         right = go(node.right)
         if left.keys() == right.keys():
             hobsons.append(n)
         w = 1 << (k - 1 - n)
+        seen = left.get
         for y, ky in right.items():
-            _keep_first(left, y, ky + w)
+            key = ky + w
+            old = seen(y)
+            if old is None or key < old:
+                left[y] = key
         return left
 
     keyed = sorted(go(f).items(), key=itemgetter(1))
-    options = OptionSet(tuple(Prospect(parts) for parts, _ in keyed))
+    options = OptionSet(tuple([_unchecked(parts) for parts, _ in keyed]))
     return options, tuple(sorted(hobsons)), aspects
-
-
-def _keep_first(options: dict[Parts, int], parts: Parts, key: int) -> None:
-    """Record `key` for `parts` unless an earlier assignment yields it too."""
-    old = options.get(parts)
-    if old is None or key < old:
-        options[parts] = key
 
 
 class OptionComparison(Record):

@@ -224,7 +224,15 @@ def test_prospect_invariants():
         Prospect(())
     with pytest.raises(ValueError):
         Prospect((("A", 0),))
+    with pytest.raises(ValueError):
+        Prospect.from_dict({"A": -1})
     assert str(Prospect((("A", 2), ("B", 1)))) == "A + A + B"
+    # the names must strictly increase: out of order, or one name twice
+    # (which would print A + A + A yet differ from 3A), is refused
+    for parts in [(("B", 1), ("A", 1)), (("A", 1), ("A", 2)), (("A", 2), ("A", 1)),
+                  (("A", 1), ("A", 1)), (("A", 1), ("B", 1), ("B", 1))]:
+        with pytest.raises(ValueError, match="^prospect parts must be sorted by atom name, each name once$"):
+            Prospect(parts)
 
 
 _A_ITERABLE = AtomNode(Atom("A", "iterable"))
@@ -350,6 +358,62 @@ def test_options_match_the_enumerator_on_every_small_formula():
         assert denote_options(f).prospects == options
         assert judge(f) == _reference_judge(f, options)
     assert len(formulas) == 237
+
+
+def _assert_checked(prospects) -> int:
+    """Every prospect is the one the public constructor, with all its
+    checks, builds from its parts. Returns how many there were."""
+    n = 0
+    for p in prospects:
+        checked = Prospect(p.parts)
+        assert checked == p, p
+        assert (hash(checked), repr(checked)) == (hash(p), repr(p))
+        n += 1
+    return n
+
+
+def _returned_prospects(f, g):
+    """The prospects of `denote_options(f)`, `judge(f)` and `compare(g, f)`."""
+    cmp = compare(g, f)
+    yield from denote_options(f)
+    for j in (judge(f), cmp.judgment_left, cmp.judgment_right):
+        yield from (p for p, _, _ in j.double_images)
+    if cmp.options.witness is not None:
+        yield cmp.options.witness
+
+
+def test_unchecked_prospects_pass_the_checks_on_every_small_formula():
+    formulas = and_or_formulas(3)
+    # each formula is compared with its predecessor, the first with the last
+    assert sum(_assert_checked(_returned_prospects(f, g))
+               for f, g in zip(formulas, formulas[-1:] + formulas[:-1])) == 909
+
+
+@settings(max_examples=100, deadline=1000)
+@given(_mixed_denotable, _mixed_denotable)
+def test_unchecked_prospects_pass_the_checks(f, g):
+    _assert_checked(_returned_prospects(f, g))
+
+
+_coeffs = st.dictionaries(st.sampled_from("ABCD"), st.integers(1, 3), min_size=1)
+
+
+@given(_coeffs, _coeffs)
+def test_add_builds_a_checked_prospect(x, y):
+    p = Prospect.from_dict(x).add(Prospect.from_dict(y))
+    assert _assert_checked([p]) == 1
+    assert p == Prospect.from_dict({n: x.get(n, 0) + y.get(n, 0) for n in {*x, *y}})
+
+
+def test_the_option_pass_builds_its_prospects_unchecked():
+    f, g = parse("(A or B) and (A or C)"), parse("A or (A and B)")
+    check = Prospect.__post_init__
+    assert _calls(check, lambda: prospect._option_pass(f)) == 0
+    assert _calls(check, lambda: (denote_options(f), judge(f), compare(f, g))) == 0
+    one = Prospect.from_dict({"A": 1})
+    assert _calls(check, lambda: one.add(one)) == 0
+    # the public constructors check once per prospect
+    assert _calls(check, lambda: (Prospect.from_dict({"A": 1}), Prospect((("B", 2),)))) == 2
 
 
 @pytest.mark.parametrize("text, nodes", [
