@@ -13,8 +13,11 @@ Grammar (lowercase keywords, right-associative binary connectives):
 `and` binds tighter than `or`/`xor`; `not` tighter than `and`. An Or node is
 numbered by its position: or-node i is the i-th `or` keyword of the text, so
 the numbering is in-order (a node comes after its left subtree). `or_nodes`
-defines it for every tree, parsed or built by hand. An atom name has one
-aspect per formula; unannotated occurrences default to stative unless another
+defines it for every tree, parsed or built by hand. One structural walk,
+`_walk`, pre-order on its own stack, reads a formula's atoms, its or-nodes and
+their numbering, and its first `not` or `xor`, for `atoms`, `atom_names`,
+`or_nodes`, the option pass and projection alike. An atom name has one aspect
+per formula; unannotated occurrences default to stative unless another
 occurrence declares an aspect. Nesting is limited to MAX_DEPTH levels,
 counting each "(", each "not" and each right operand of a binary connective.
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import re
 from itertools import islice
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 from ._record import Record
 from .errors import ParseError, UnboundMetavariableError, UnknownLabelError
@@ -92,61 +95,60 @@ def subformulas(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
             stack.append((path + (0,), node.left))
 
 
+_OrPaths = list[tuple[tuple[int, ...], Or]]
+
+
+def _walk(f: Formula) -> tuple[dict[str, Atom], _OrPaths, list[int], Optional[Formula]]:
+    """One pre-order walk of f, on its own stack: f's atoms keyed by name,
+    in textual order, the first occurrence deciding; its or-nodes with their
+    paths, in pre-order, which is path order; for each or-node number n (see
+    `or_nodes`), the pre-order index of or-node n; and f's first `not` or
+    `xor` node in pre-order, or None. An or-node's number counts the
+    or-nodes an in-order walk visits before it, so a marker holding its
+    index is pushed between its right and left subtrees."""
+    found: dict[str, Atom] = {}
+    ors: _OrPaths = []
+    by_number: list[int] = []
+    refused = None
+    stack = [((), f)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        path, node = pop()
+        kind = type(node)
+        if kind is AtomNode:
+            found.setdefault(node.atom.name, node.atom)
+        elif node is None:  # the marker of the or-node whose index is `path`
+            by_number.append(path)
+        elif kind is Not:
+            if refused is None:
+                refused = node
+            push((path + (0,), node.child))
+        else:
+            push((path + (1,), node.right))
+            if kind is Or:
+                push((len(ors), None))
+                ors.append((path, node))
+            elif kind is Xor and refused is None:
+                refused = node
+            push((path + (0,), node.left))
+    return found, ors, by_number, refused
+
+
 def atoms(f: Formula) -> dict[str, Atom]:
     """Atom objects of f keyed by name, insertion in textual order."""
-    found: dict[str, Atom] = {}
-    def go(node: Formula) -> None:
-        if isinstance(node, AtomNode):
-            found.setdefault(node.atom.name, node.atom)
-        elif isinstance(node, Not):
-            go(node.child)
-        else:
-            go(node.left)
-            go(node.right)
-    go(f)
-    return found
+    return _walk(f)[0]
 
 
 def atom_names(f: Formula) -> list[str]:
-    return sorted(atoms(f))
+    return sorted(_walk(f)[0])
 
 
-def _walk(f: Formula) -> tuple[list[str], list[tuple[tuple[int, ...], Or]], list[int]]:
-    """One walk of f: its atom names, sorted; its or-nodes with their paths,
-    in pre-order, which is path order; and, for each or-node number n (see
-    `or_nodes`), the pre-order index of or-node n. An or-node's number
-    counts the or-nodes an in-order walk visits before it, so it is taken
-    between the node's two subtrees."""
-    names: set[str] = set()
-    ors: list[tuple[tuple[int, ...], Or]] = []
-    by_number: list[int] = []
-
-    def go(node: Formula, path: tuple[int, ...]) -> None:
-        kind = type(node)
-        if kind is AtomNode:
-            names.add(node.atom.name)
-        elif kind is Not:
-            go(node.child, path + (0,))
-        elif kind is Or:
-            index = len(ors)
-            ors.append((path, node))
-            go(node.left, path + (0,))
-            by_number.append(index)
-            go(node.right, path + (1,))
-        else:
-            go(node.left, path + (0,))
-            go(node.right, path + (1,))
-
-    go(f, ())
-    return sorted(names), ors, by_number
-
-
-def or_nodes(f: Formula) -> list[tuple[tuple[int, ...], Or]]:
+def or_nodes(f: Formula) -> _OrPaths:
     """All Or nodes with their paths, in the order of their numbers: or-node
     i is the i-th `or` keyword of `unparse(f)`. That order is in-order, a
     node after its left subtree and before its right one, and is read off
     `_walk`'s numbering, so one Or object at two positions is two nodes."""
-    _, ors, by_number = _walk(f)
+    _, ors, by_number, _ = _walk(f)
     return [ors[i] for i in by_number]
 
 
@@ -154,15 +156,13 @@ def _rebuild(f: Formula, leaf: Callable[[AtomNode], Formula],
              connective: Mapping[type, type]) -> Formula:
     """Rebuild f bottom-up: atom nodes through `leaf`, binary nodes as
     `connective[type(node)]`, negation as is."""
-    def go(node: Formula) -> Formula:
-        kind = type(node)
-        if kind is AtomNode:
-            return leaf(node)
-        if kind is Not:
-            return Not(go(node.child))
-        return connective[kind](go(node.left), go(node.right))
-
-    return go(f)
+    kind = type(f)
+    if kind is AtomNode:
+        return leaf(f)
+    if kind is Not:
+        return Not(_rebuild(f.child, leaf, connective))
+    return connective[kind](_rebuild(f.left, leaf, connective),
+                            _rebuild(f.right, leaf, connective))
 
 
 # ---------------------------------------------------------------------------
@@ -304,35 +304,30 @@ def unparse(f: Formula) -> str:
 
     Iterable atoms print with their annotation so the text reparses to the
     same formula; statives print bare (the default)."""
-    def go(node: Formula) -> str:
-        kind = type(node)
-        if kind is AtomNode:
-            a = node.atom
-            return a.name if a.aspect == STATIVE else f"{a.name}:{a.aspect}"
-        if kind is Not:
-            inner = go(node.child)
-            if _LEVEL[type(node.child)] < _LEVEL[Not]:
-                inner = f"({inner})"
-            return f"not {inner}"
-        lvl = _LEVEL[kind]
-        left = go(node.left)
-        if _LEVEL[type(node.left)] <= lvl:  # equal level on the left breaks right-assoc
-            left = f"({left})"
-        right = go(node.right)
-        if _LEVEL[type(node.right)] < lvl:
-            right = f"({right})"
-        return f"{left} {_WORD[kind]} {right}"
-    return go(f)
+    kind = type(f)
+    if kind is AtomNode:
+        a = f.atom
+        return a.name if a.aspect == STATIVE else f"{a.name}:{a.aspect}"
+    if kind is Not:
+        inner = unparse(f.child)
+        if _LEVEL[type(f.child)] < _LEVEL[Not]:
+            inner = f"({inner})"
+        return f"not {inner}"
+    lvl = _LEVEL[kind]
+    left = unparse(f.left)
+    if _LEVEL[type(f.left)] <= lvl:  # equal level on the left breaks right-assoc
+        left = f"({left})"
+    right = unparse(f.right)
+    if _LEVEL[type(f.right)] < lvl:
+        right = f"({right})"
+    return f"{left} {_WORD[kind]} {right}"
 
 
 def length_metric(f: Formula) -> int:
     """Token count of the canonical unparse: atoms and connective words,
-    parentheses excluded. The prolixity measure behind brevity comparisons."""
-    if isinstance(f, AtomNode):
-        return 1
-    if isinstance(f, Not):
-        return 1 + length_metric(f.child)
-    return 1 + length_metric(f.left) + length_metric(f.right)
+    parentheses excluded, that is f's node count. The prolixity measure
+    behind brevity comparisons."""
+    return sum(1 for _ in subformulas(f))
 
 
 # ---------------------------------------------------------------------------

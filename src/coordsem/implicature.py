@@ -8,21 +8,21 @@ constraints (weak: the speaker does not know both disjuncts hold; strong:
 the speaker knows they do not both hold). Projection feeds potential
 constraints into the accepted set one at a time, assertions first, and
 suppresses any candidate that would make the set unsatisfiable by a belief
-model (a nonempty set of worlds: K phi holds iff phi is true at every
-world, notK phi iff phi fails somewhere). One rule, `_verdict`, decides
-that from the truth masks of the bodies. `project` walks the formula once
-for its atoms and or-nodes, with the walk that numbers the or-nodes
-(`formula._walk`), and evaluates it once, with the evaluator behind
-`boolean.truth_mask`, keeping the masks of each or-node's operands. It
-builds every candidate together with its mask from those, so no candidate
-computes a truth table. It keeps the accepted set as one running state,
-the K-worlds and the notK masks, so each candidate is decided by a few bit
-operations, and keeps the K-worlds after each acceptance, so a suppressed
-candidate's clash set is shrunk on the masks of its failed test with those
-prefix ANDs and a running state, building no trial list. `potential_clausal` and `potential_scalar` read the same walk
-and build the same constraints, without masks. `consistent` also builds the
-least belief model from the rule's answer, greedily, for callers that want
-the witness, so the only atom limit is `boolean.ATOM_LIMIT`.
+model (a nonempty set of worlds: K phi holds iff phi is true at every world,
+notK phi iff phi fails somewhere). One rule, `_verdict`, decides that from the
+truth masks of the bodies. `project` walks the formula once for its atoms and
+or-nodes, with the package's one structural walk (`formula._walk`), and
+evaluates it once, with the evaluator behind `boolean.truth_mask`, keeping the
+masks of each or-node's operands. It builds every candidate together with its
+mask from those, so no candidate computes a truth table. It keeps the accepted
+set as one running state, the K-worlds and the notK masks, so each candidate
+is decided by a few bit operations, and keeps the K-worlds after each
+acceptance, so a suppressed candidate's clash set is shrunk on the masks of
+its failed test with those prefix ANDs and a running state, building no trial
+list. `potential_clausal` and `potential_scalar` read the same walk and build
+the same constraints, without masks. `consistent` also builds the least belief
+model from the rule's answer, greedily, for callers that want the witness, so
+the only atom limit is `boolean.ATOM_LIMIT`.
 
 Strong exclusivity is a defeasible default in `gazdar` mode; in `soames`
 mode it is emitted only for or-nodes the caller declares the speaker
@@ -163,7 +163,7 @@ def potential_clausal(f: Formula) -> list[EpistemicConstraint]:
     notK(psi) and notK(not psi). Duplicates collapse within a node (an
     or-node with identical disjuncts contributes one pair); distinct nodes
     keep distinct entries. The or-nodes come in path order."""
-    _, ors, _ = _walk(f)
+    _, ors, _, _ = _walk(f)
     return [c for path, node in ors for c, _, _ in _ignorance(path, node, 0, 0, 0)]
 
 
@@ -181,7 +181,7 @@ def potential_scalar(
     other raises `WorkbenchError`, as does an opinionated id outside soames
     mode or one that numbers none of f's or-nodes."""
     mode = _mode(mode)
-    _, ors, by_number = _walk(f)
+    _, ors, by_number, _ = _walk(f)
     strong = _strong(f, mode, opinionated, by_number)
     return [c for i, (path, node) in enumerate(ors)
             for c, _, _ in _exclusivity(path, node, 0, 0, i in strong)]
@@ -321,10 +321,10 @@ def _candidates(f: Formula, mode: Mode, opinionated: Sequence[int]
     candidates in projection order: every clausal one, then every weak one,
     then every strong one, each tier in path order, each candidate with its
     mask. Opinionated ids are refused before the atom limit."""
-    names, ors, by_number = _walk(f)
+    found, ors, by_number, _ = _walk(f)
     strong = _strong(f, mode, opinionated, by_number)
-    atom = _name_masks(names)  # refuses > ATOM_LIMIT names before the universe
-    universe = (1 << 2 ** len(names)) - 1
+    atom = _name_masks(sorted(found))  # refuses > ATOM_LIMIT names before the universe
+    universe = (1 << 2 ** len(found)) - 1
     operands: list[tuple[int, int]] = []  # each or-node's operand masks, in pre-order
     if type(f) is And:
         left = _evaluate(f.left, atom, universe, operands)

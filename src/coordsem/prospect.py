@@ -5,20 +5,21 @@ A sentence denotes a nonnegative-integer vector over its atoms (a
 `or` node picks its left or right branch according to a {0,1} coefficient
 attached to that node. Ranging over all coefficient assignments yields the
 sentence's option set. Because every `or` node has its own coefficient, the
-option set is built from the parts in one pass over the tree: an atom has one
-option, `and` takes every pairwise sum of its children's options and `or` the
-union of its branches'. Options are ordered by the index, in the canonical
-enumeration of coefficient assignments (all-ones first), of the first
-assignment that yields them. Diagnostics on the option set reproduce
+option set is built from the parts in one pass over the tree: an atom has
+one option, `and` takes every pairwise sum of its children's options and
+`or` the union of its branches'. Options are ordered by the index, in the
+canonical enumeration of coefficient assignments (all-ones first), of the
+first assignment that yields them. Diagnostics on the option set reproduce
 acceptability judgments: an option giving a stative atom a coefficient >= 2
 is a double image ("A and A"); an `or` whose branches denote identically
-offers no real alternative (Hobson's choice, "A or A"), found by the same pass.
-One walk before the pass counts the or-nodes, collects each atom's aspect
-and refuses an unsupported connective. Two option sets are compared through
-one hash set per side, with each prospect hashed into its side's set once, so
-the comparison is linear in the sets' sizes. The pass and `Prospect.add` build
-their prospects unchecked, since their parts are valid by construction;
-`Prospect(...)` and `Prospect.from_dict` check every part.
+offers no real alternative (Hobson's choice, "A or A"), found by the same
+pass. Before the pass, the formula's one structural walk (`formula._walk`)
+counts its or-nodes, collects its atoms and finds an unsupported connective.
+Two option sets are compared through one hash set per side, with each
+prospect hashed into its side's set once, so the comparison is linear in the
+sets' sizes. The pass and `Prospect.add` build their prospects unchecked,
+since their parts are valid by construction; `Prospect(...)` and
+`Prospect.from_dict` check every part.
 
 Negation and xor have no vector denotation here and raise
 UnsupportedConnectiveError.
@@ -33,16 +34,7 @@ from typing import Iterable, Iterator, Mapping, Optional
 
 from ._record import Record, _set
 from .errors import SizeLimitError, UnsupportedConnectiveError, WorkbenchError
-from .formula import (
-    And,
-    AtomNode,
-    Formula,
-    Not,
-    Or,
-    STATIVE,
-    Xor,
-    or_nodes,
-)
+from .formula import And, Atom, AtomNode, Formula, Not, STATIVE, _walk, or_nodes
 
 COEFF_LIMIT = 16  # at most 16 or-nodes, so 2^16 coefficient assignments
 
@@ -79,8 +71,9 @@ def _merge(a: Parts, b: Parts) -> Parts:
 
 class Prospect(Record):
     """Immutable vector over atom names; entries are positive integers
-    (absent means zero). Never the null vector. Its parts name each atom
-    once, in increasing order."""
+    (absent means zero). Never the null vector. Its parts pair a str name
+    with an int coefficient (not a bool) and name each atom once, in
+    increasing order."""
 
     parts: tuple[tuple[str, int], ...]
 
@@ -88,6 +81,8 @@ class Prospect(Record):
         parts = self.parts
         if not parts:
             raise ValueError("the null vector is not a sentence denotation")
+        if any(type(name) is not str or type(coeff) is not int for name, coeff in parts):
+            raise ValueError("prospect parts must pair a str name with an int coefficient")
         if any(coeff <= 0 for _, coeff in parts):
             raise ValueError("prospect coefficients must be positive")
         if any(a >= b for (a, _), (b, _) in zip(parts, parts[1:])):
@@ -159,29 +154,15 @@ class OptionSet(Record):
         return [p.serialize() for p in self.sorted()]
 
 
-def _prewalk(f: Formula) -> tuple[int, dict[str, str]]:
-    """One pre-order walk of f before its option pass: the number of its
-    or-nodes, and each atom name's aspect, names in textual order, the first
-    occurrence deciding (as in `atoms`). Raises UnsupportedConnectiveError at
-    the first `not` or `xor` in pre-order. The walk keeps its own stack, so
-    it builds no closure."""
-    ors = 0
-    aspects: dict[str, str] = {}
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is AtomNode:
-            aspects.setdefault(node.atom.name, node.atom.aspect)
-        elif kind is Not:
-            raise UnsupportedConnectiveError("negation has no vector denotation")
-        elif kind is Xor:
-            raise UnsupportedConnectiveError("xor has no vector denotation")
-        else:
-            ors += kind is Or
-            stack.append(node.right)
-            stack.append(node.left)
-    return ors, aspects
+def _denotable(f: Formula) -> tuple[dict[str, Atom], int]:
+    """f's atoms and or-count, from `formula._walk`; f's first `not` or `xor`
+    in pre-order raises UnsupportedConnectiveError."""
+    found, ors, _, refused = _walk(f)
+    if refused is not None:
+        raise UnsupportedConnectiveError(
+            "negation has no vector denotation" if type(refused) is Not
+            else "xor has no vector denotation")
+    return found, len(ors)
 
 
 def _within_limit(ors: int) -> int:
@@ -195,24 +176,24 @@ def denote_one(f: Formula, c: CoefficientAssignment) -> Prospect:
     atoms, vector addition at `and`, branch choice at `or` (1 = left). The
     assignment is keyed by or-node number and must cover every or-node; the
     first one missing in textual order is reported."""
-    for n in range(_prewalk(f)[0]):
+    for n in range(_denotable(f)[1]):
         if n not in c:
             raise WorkbenchError(f"coefficient assignment lacks or-node {n}")
         if c[n] not in (0, 1):
             raise WorkbenchError(f"coefficient must be 0 or 1, got {c[n]!r}")
-    number = count()
+    return _denoted(f, c, count())
 
-    def go(node: Formula) -> Prospect:
-        if isinstance(node, AtomNode):
-            return Prospect(((node.atom.name, 1),))
-        left = go(node.left)
-        if isinstance(node, And):
-            return left.add(go(node.right))
-        choice = c[next(number)]
-        right = go(node.right)
-        return left if choice == 1 else right
 
-    return go(f)
+def _denoted(node: Formula, c: CoefficientAssignment, number: Iterator[int]) -> Prospect:
+    """`denote_one` of node, whose or-nodes take their numbers from `number`."""
+    if isinstance(node, AtomNode):
+        return Prospect(((node.atom.name, 1),))
+    left = _denoted(node.left, c, number)
+    if isinstance(node, And):
+        return left.add(_denoted(node.right, c, number))
+    choice = c[next(number)]
+    right = _denoted(node.right, c, number)
+    return left if choice == 1 else right
 
 
 def coefficient_assignments(f: Formula) -> Iterator[dict[int, int]]:
@@ -227,10 +208,10 @@ def denote_options(f: Formula) -> OptionSet:
     return _option_pass(f)[0]
 
 
-def _option_pass(f: Formula) -> tuple[OptionSet, tuple[int, ...], dict[str, str]]:
-    """f's option set, its Hobson nodes' numbers, sorted, and its atoms'
-    aspects, from one walk before the pass (`_prewalk`) and one pass, so
-    `_judged` walks f for nothing else.
+def _option_pass(f: Formula) -> tuple[OptionSet, tuple[int, ...], dict[str, Atom]]:
+    """f's option set, its Hobson nodes' numbers, sorted, and its atoms,
+    from one walk before the pass (`_denotable`) and one pass, so `_judged`
+    walks f for nothing else.
 
     The pass numbers each or-node after its left subtree, as `or_nodes`
     does. Assignment i of `coefficient_assignments` sets or-node n to 0
@@ -243,7 +224,7 @@ def _option_pass(f: Formula) -> tuple[OptionSet, tuple[int, ...], dict[str, str]
     (not values), compared before the right is merged in. The prospects are
     built unchecked (`_unchecked`): atoms give one positive part, and
     `_merge` keeps parts sorted, positive and each name once."""
-    ors, aspects = _prewalk(f)
+    found, ors = _denotable(f)
     k = _within_limit(ors)
     number = count()
     hobsons = []
@@ -278,7 +259,7 @@ def _option_pass(f: Formula) -> tuple[OptionSet, tuple[int, ...], dict[str, str]
 
     keyed = sorted(go(f).items(), key=itemgetter(1))
     options = OptionSet(tuple([_unchecked(parts) for parts, _ in keyed]))
-    return options, tuple(sorted(hobsons)), aspects
+    return options, tuple(sorted(hobsons)), found
 
 
 class OptionComparison(Record):
@@ -345,10 +326,10 @@ def judge(f: Formula) -> Judgment:
 def _judged(f: Formula) -> tuple[OptionSet, Judgment]:
     """f's option set and judgment, from one option pass. The options are
     sorted for the double images only when there is one."""
-    options, hobsons, aspects = _option_pass(f)
+    options, hobsons, found = _option_pass(f)
     doubles: tuple[tuple[Prospect, str, int], ...] = ()
-    if next(_double_images(options, aspects), None):
-        doubles = tuple(_double_images(options.sorted(), aspects))
+    if next(_double_images(options, found), None):
+        doubles = tuple(_double_images(options.sorted(), found))
     if doubles:
         category = Category.WEIRD_DOUBLE_IMAGE
     elif hobsons:
@@ -359,7 +340,8 @@ def _judged(f: Formula) -> tuple[OptionSet, Judgment]:
 
 
 def _double_images(prospects: Iterable[Prospect],
-                   aspects: Mapping[str, str]) -> Iterator[tuple[Prospect, str, int]]:
-    """Each (option, atom, coefficient) with a stative atom at coefficient >= 2."""
+                   found: Mapping[str, Atom]) -> Iterator[tuple[Prospect, str, int]]:
+    """Each (option, atom, coefficient) with a stative atom at coefficient >= 2,
+    the atoms keyed by name as `atoms` gives them."""
     return ((p, name, coeff) for p in prospects for name, coeff in p.parts
-            if coeff >= 2 and aspects[name] == STATIVE)
+            if coeff >= 2 and found[name].aspect == STATIVE)

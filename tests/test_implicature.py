@@ -150,8 +150,15 @@ _any_formula = st.recursive(
 def test_or_paths_come_in_path_order(f):
     path_sorted = sorted(((p, n) for p, n in subformulas(f) if isinstance(n, Or)),
                          key=lambda pn: pn[0])
-    names, ors, by_number = _walk(f)
-    assert names == atom_names(f)
+    found, ors, by_number, refused = _walk(f)
+    # the atoms, first occurrence first, and the first not or xor, against
+    # the reference pre-order walk
+    first = {}
+    for _, node in subformulas(f):
+        if isinstance(node, AtomNode):
+            first.setdefault(node.atom.name, node.atom)
+    assert list(found.items()) == list(first.items())
+    assert refused is next((n for _, n in subformulas(f) if isinstance(n, (Not, Xor))), None)
     assert ors == path_sorted
     # or-node n, found by its pre-order index, is the reference's or-node n
     assert [ors[i] for i in by_number] == _in_order_ors(f)
@@ -629,7 +636,7 @@ def test_a_shared_leaf_gets_the_same_mask_at_every_path():
         if isinstance(node, AtomNode):
             leaves.setdefault(node.atom.name, set()).add(id(node))
     assert leaves and all(len(ids) == 1 for ids in leaves.values())
-    _, ors, _ = _walk(f)
+    _, ors, _, _ = _walk(f)
     assert [(unparse(node.left), unparse(node.right)) for _, node in ors] == \
         [("A", "B"), ("B", "C or A"), ("C", "A")]
     a, b, c = (truth_mask(parse(n), atom_names(f)) for n in "ABC")

@@ -233,6 +233,15 @@ def test_prospect_invariants():
                   (("A", 1), ("A", 1)), (("A", 1), ("B", 1), ("B", 1))]:
         with pytest.raises(ValueError, match="^prospect parts must be sorted by atom name, each name once$"):
             Prospect(parts)
+    # a name is a str and a coefficient an int, not a float or a bool, so
+    # every prospect prints, and True is not taken for 1
+    for parts in [(("A", 1.5),), (("A", 1.0),), ((1, 1),), (("A", True),),
+                  (("A", 1), ("B", "2")), ((b"A", 1),)]:
+        with pytest.raises(ValueError, match="^prospect parts must pair a str name with an int coefficient$"):
+            Prospect(parts)
+    for coeffs in [{"A": 1.5}, {1: 1}, {"A": True}]:
+        with pytest.raises(ValueError, match="^prospect parts must pair a str name with an int coefficient$"):
+            Prospect.from_dict(coeffs)
 
 
 _A_ITERABLE = AtomNode(Atom("A", "iterable"))
@@ -273,14 +282,15 @@ def _calls(function, run) -> int:
 
 def test_judge_and_compare_walk_each_formula_once_before_the_pass():
     f, g = parse("A or (B and A)"), parse("(A or B) and (A:iterable or C)")
-    with mock.patch.object(prospect, "_prewalk", wraps=prospect._prewalk) as walk_spy:
-        assert _calls(formula.atoms, lambda: judge(f)) == 0
+    with mock.patch.object(prospect, "_walk", wraps=prospect._walk) as walk_spy:
+        assert _calls(formula._walk, lambda: judge(f)) == 1
         assert walk_spy.call_args_list == [mock.call(f)]
         with mock.patch.object(boolean, "atom_names", wraps=boolean.atom_names) as names_spy:
-            atoms_calls = _calls(formula.atoms, lambda: compare(f, g))
-    # the truth-table verdict collects each side's atom names; the option
-    # layer collects none
-    assert atoms_calls == names_spy.call_count == 2
+            walks = _calls(formula._walk, lambda: compare(f, g))
+    # the truth-table verdict collects each side's atom names, and the option
+    # layer walks each side once before its pass: one walk per side per layer
+    assert names_spy.call_count == 2
+    assert walks == 4
     assert [c.args[0] for c in walk_spy.call_args_list] == [f, f, g]
 
 
