@@ -46,19 +46,19 @@ _ATOM_MASKS = tuple(
 
 
 def eval_formula(f: Formula, v: Assignment) -> bool:
-    """Classical evaluation; Xor is exclusive disjunction."""
+    """Classical evaluation, as a bool; Xor is exclusive disjunction. Both
+    operands are evaluated, so any atom missing from v raises, in any order."""
     if isinstance(f, AtomNode):
         try:
-            return v[f.atom.name]
+            return bool(v[f.atom.name])
         except KeyError:
             raise MissingAtomError(f"assignment lacks atom {f.atom.name!r}") from None
     if isinstance(f, Not):
         return not eval_formula(f.child, v)
+    left, right = eval_formula(f.left, v), eval_formula(f.right, v)
     if isinstance(f, And):
-        return eval_formula(f.left, v) and eval_formula(f.right, v)
-    if isinstance(f, Or):
-        return eval_formula(f.left, v) or eval_formula(f.right, v)
-    return eval_formula(f.left, v) != eval_formula(f.right, v)
+        return left and right
+    return (left or right) if isinstance(f, Or) else left != right
 
 
 def assignments(names: Sequence[str]) -> Iterator[dict[str, bool]]:

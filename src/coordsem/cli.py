@@ -501,13 +501,36 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _unwritable(err: OSError) -> int:
+    """Report that stdout failed (a full disk, a pipe whose reader has gone)
+    and give exit code 2. Stdout's file descriptor then points at
+    `os.devnull`, so the output still buffered is dropped without a second
+    error when stdout is next flushed, at teardown included."""
+    print(f"error: cannot write stdout: {err.strerror or err}", file=sys.stderr)
+    try:
+        fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+    except OSError:  # a stdout with no file descriptor
+        return 2
+    os.dup2(devnull, fd)
+    os.close(devnull)
+    return 2
+
+
+def _emit(out: str, code: int) -> int:
+    """Write out to stdout; code, or 2 if stdout cannot take it."""
+    try:
+        sys.stdout.write(out)
+    except OSError as err:
+        return _unwritable(err)
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_argv(sys.argv[1:] if argv is None else argv)
     except UsageExit as stop:
         if stop.error is None:
-            sys.stdout.write(_help(stop.command))
-            return 0
+            return _emit(_help(stop.command), 0)
         sys.stderr.write(f"usage: {usage(stop.command)}\ncoordsem: error: {stop.error}\n")
         return 2
     try:
@@ -522,14 +545,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError as err:
             print(f"error: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
             return 2
-    if args.format == "json":
-        out = _json(payload)
-    else:
-        out = args.render(payload)
-    sys.stdout.write(out)
-    if payload["command"] == "reproduce" and payload["summary"]["mismatches"]:
-        return 1
-    return 0
+    out = _json(payload) if args.format == "json" else args.render(payload)
+    mismatch = payload["command"] == "reproduce" and payload["summary"]["mismatches"]
+    return _emit(out, 1 if mismatch else 0)
 
 
 def run() -> NoReturn:
@@ -545,13 +563,18 @@ def run() -> NoReturn:
     Once the output is flushed nothing is left to do, so `os._exit` ends the
     process without the interpreter's teardown, which frees every module
     and object one by one; `atexit` hooks, `coverage` among them, do not
-    run. If a flush fails (stdout is a closed pipe, say), `sys.exit` takes
-    the ordinary way out instead, and the teardown reports the failure and
-    sets the exit code as it always has."""
+    run. Stdout can fail in `main()`'s write or in this flush (a full disk,
+    or a pipe whose reader has gone); either way it is reported on stderr
+    as `error: cannot write stdout: ...` and the code is 2. If stderr's
+    flush fails, `sys.exit` takes the ordinary way out instead, and the
+    teardown reports the failure and sets the exit code."""
     gc.freeze()
     code = main()
     try:
         sys.stdout.flush()
+    except OSError as err:
+        code = _unwritable(err)
+    try:
         sys.stderr.flush()
     except Exception:
         sys.exit(code)

@@ -7,19 +7,19 @@ attached to that node. Ranging over all coefficient assignments yields the
 sentence's option set. Because every `or` node has its own coefficient, the
 option set is built from the parts in one pass over the tree: an atom has
 one option, `and` takes every pairwise sum of its children's options and
-`or` the union of its branches'. Options are ordered by the index, in the
-canonical enumeration of coefficient assignments (all-ones first), of the
-first assignment that yields them. Diagnostics on the option set reproduce
-acceptability judgments: an option giving a stative atom a coefficient >= 2
-is a double image ("A and A"); an `or` whose branches denote identically
-offers no real alternative (Hobson's choice, "A or A"), found by the same
-pass. Before the pass, the formula's one structural walk (`formula._walk`)
-counts its or-nodes, collects its atoms and finds an unsupported connective.
-Two option sets are compared through one hash set per side, with each
-prospect hashed into its side's set once, so the comparison is linear in the
-sets' sizes. The pass and `Prospect.add` build their prospects unchecked,
-since their parts are valid by construction; `Prospect(...)` and
-`Prospect.from_dict` check every part.
+`or` the union of its branches'. The pass, `_options`, is a module-level
+function that takes its state as arguments, so it leaves no garbage cycle.
+Options are ordered by the index, in the canonical enumeration of
+coefficient assignments (all-ones first), of the first assignment that
+yields them. Diagnostics on the option set reproduce acceptability
+judgments: an option giving a stative atom a coefficient >= 2 is a double
+image ("A and A"); an `or` whose branches denote identically offers no real
+alternative (Hobson's choice, "A or A"), found by the same pass. Before the
+pass, the formula's one structural walk (`formula._walk`) counts its
+or-nodes, collects its atoms and finds an unsupported connective. Two option
+sets are compared in time linear in their sizes. The pass and `Prospect.add`
+build their prospects unchecked, since their parts are valid by
+construction; `Prospect(...)` and `Prospect.from_dict` check every part.
 
 Negation and xor have no vector denotation here and raise
 UnsupportedConnectiveError.
@@ -225,41 +225,41 @@ def _option_pass(f: Formula) -> tuple[OptionSet, tuple[int, ...], dict[str, Atom
     built unchecked (`_unchecked`): atoms give one positive part, and
     `_merge` keeps parts sorted, positive and each name once."""
     found, ors = _denotable(f)
-    k = _within_limit(ors)
-    number = count()
-    hobsons = []
-
-    def go(node: Formula) -> dict[Parts, int]:
-        if isinstance(node, AtomNode):
-            return {((node.atom.name, 1),): 0}
-        left = go(node.left)
-        if isinstance(node, And):
-            out: dict[Parts, int] = {}
-            seen = out.get
-            right = go(node.right)
-            for x, kx in left.items():
-                for y, ky in right.items():
-                    parts, key = _merge(x, y), kx + ky
-                    old = seen(parts)
-                    if old is None or key < old:
-                        out[parts] = key
-            return out
-        n = next(number)
-        right = go(node.right)
-        if left.keys() == right.keys():
-            hobsons.append(n)
-        w = 1 << (k - 1 - n)
-        seen = left.get
-        for y, ky in right.items():
-            key = ky + w
-            old = seen(y)
-            if old is None or key < old:
-                left[y] = key
-        return left
-
-    keyed = sorted(go(f).items(), key=itemgetter(1))
+    hobsons: list[int] = []
+    keyed = sorted(_options(f, _within_limit(ors), count(), hobsons).items(), key=itemgetter(1))
     options = OptionSet(tuple([_unchecked(parts) for parts, _ in keyed]))
     return options, tuple(sorted(hobsons)), found
+
+
+def _options(node: Formula, k: int, number: Iterator[int], hobsons: list[int]) -> dict[Parts, int]:
+    """The pass over node in a formula of k or-nodes: its options' parts, keyed.
+    Its or-nodes take their numbers from `number`; its Hobson nodes go to hobsons."""
+    if isinstance(node, AtomNode):
+        return {((node.atom.name, 1),): 0}
+    left = _options(node.left, k, number, hobsons)
+    if isinstance(node, And):
+        out: dict[Parts, int] = {}
+        seen = out.get
+        right = _options(node.right, k, number, hobsons)
+        for x, kx in left.items():
+            for y, ky in right.items():
+                parts, key = _merge(x, y), kx + ky
+                old = seen(parts)
+                if old is None or key < old:
+                    out[parts] = key
+        return out
+    n = next(number)
+    right = _options(node.right, k, number, hobsons)
+    if left.keys() == right.keys():
+        hobsons.append(n)
+    w = 1 << (k - 1 - n)
+    seen = left.get
+    for y, ky in right.items():
+        key = ky + w
+        old = seen(y)
+        if old is None or key < old:
+            left[y] = key
+    return left
 
 
 class OptionComparison(Record):

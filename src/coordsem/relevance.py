@@ -29,7 +29,6 @@ counts the same points that a filter over the whole grid would keep.
 from __future__ import annotations
 
 from enum import Enum
-from math import comb
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ._record import Record
@@ -153,11 +152,6 @@ def grid(atoms: Sequence[str], denominator: int) -> Iterator[RationalDist]:
     ordered = _grid_atoms(atoms, denominator)
     for counts in _compositions(denominator, 2 ** len(ordered)):
         yield _dist(ordered, counts, denominator)
-
-
-def grid_size(n_atoms: int, denominator: int) -> int:
-    n_cells = 2 ** n_atoms
-    return comb(denominator + n_cells - 1, n_cells - 1)
 
 
 class SearchStatus(Enum):

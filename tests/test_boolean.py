@@ -53,8 +53,16 @@ def test_eval_basics():
 
 
 def test_eval_missing_atom():
-    with pytest.raises(MissingAtomError):
-        eval_formula(parse("A and B"), {"A": True})
+    # both operands are evaluated, so the error does not depend on their order
+    for text in ("A and B", "A or B", "B or A", "not A and B", "B and not A", "A xor B"):
+        with pytest.raises(MissingAtomError, match="^assignment lacks atom 'B'$"):
+            eval_formula(parse(text), {"A": True})
+
+
+def test_eval_returns_a_bool():
+    assert eval_formula(parse("A"), {"A": 1}) is True
+    assert eval_formula(parse("A or B"), {"A": 0, "B": 2}) is True
+    assert eval_formula(parse("A and B"), {"A": 1, "B": 0}) is False
 
 
 def test_equivalent_valid_pairs():

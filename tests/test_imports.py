@@ -1,6 +1,7 @@
 """No module of the package, its tests or its demos imports a name it never
-uses. A stdlib `ast` scan stands in for a linter, so the check needs no
-extra dependency. A cold import of the command line loads no heavy module
+uses, and the package holds no function that only tests call, apart from a
+pinned allow-list. Stdlib `ast` scans stand in for a linter, so the checks
+need no extra dependency. A cold import of the command line loads no heavy module
 and leaves the garbage collector alone; only the process entry freezes it,
 and it ends the process through `os._exit`. The command line never loads
 argparse. `reproduce` loads no `fractions`; only reading a search's
@@ -14,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -54,6 +56,55 @@ def test_the_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each identifier is read in tree, as a name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_functions(package: dict[str, str], readers: list[str]) -> list[str]:
+    """`module.function` for each module-level function of package (module
+    name -> source) that nothing in package or readers (more sources)
+    references outside the function's own body. Imports and `__all__` do
+    not count; the CLI's command table does, as names."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    read = sum((_references(tree) for tree in [*trees.values(), *map(ast.parse, readers)]),
+               Counter())
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and read[node.name] == _references(node)[node.name])
+
+
+def test_the_scan_flags_a_function_only_it_calls():
+    package = {"m": "from x import y\n__all__ = ['a', 'b']\n"
+                    "def a(n):\n    return a(n - 1)\n"
+                    "def b():\n    return c\n"
+                    "def c():\n    pass\n"
+                    "def y():\n    pass\n"}
+    assert unreferenced_functions(package, ["import m\nm.y()\n"]) == ["m.a", "m.b"]
+
+
+# Module-level functions of the package that nothing in `src/` or `demos/`
+# calls, each kept for a reason; a function that joins this list is test-only
+# code and belongs in `tests/` (ROADMAP item 8).
+UNCALLED = {
+    "boolean.dual": "public API: the README's quick reference documents it",
+    "implicature.potential_clausal": "public API: the README's quick reference documents it",
+    "implicature.potential_scalar": "public API: the README's quick reference documents it",
+    "relevance.grid": "benchmarks/spans.py wraps it as a counter (ROADMAP item 1)",
+    "relevance.check_explosion_irrelevance": "benchmarks/spans.py wraps it as a span "
+                                             "(ROADMAP item 1)",
+    "prospect.coefficient_assignments": "benchmarks/spans.py wraps it as a counter "
+                                        "(ROADMAP item 1)",
+}
+
+
+def test_src_holds_no_test_only_functions():
+    package = {path.stem: path.read_text() for path in ROOT.glob("src/coordsem/*.py")}
+    demos = [path.read_text() for path in ROOT.glob("demos/*.py")]
+    assert unreferenced_functions(package, demos) == sorted(UNCALLED)
 
 
 def fresh(probe: str, *args: str) -> str:

@@ -45,7 +45,6 @@ from coordsem.relevance import (
     _dist,
     _ordering_points,
     _search,
-    grid_size,
 )
 
 F = Fraction
@@ -67,6 +66,13 @@ def stopped_at(d, denominator, checked):
                           (d.atoms, tuple(c.numerator for c in counts), denominator), checked)
     assert result.witness == d
     return result
+
+
+def grid_size(n_atoms: int, denominator: int) -> int:
+    """The number of points of `grid(atoms, denominator)` over n_atoms
+    atoms, by stars and bars over the 2^n_atoms cells."""
+    n_cells = 2 ** n_atoms
+    return comb(denominator + n_cells - 1, n_cells - 1)
 
 
 def test_distribution_validation():

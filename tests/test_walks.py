@@ -1,10 +1,15 @@
-"""Structural walks: the package's walkers leave no garbage cycles, and the
-iterative ones read hand-built trees far deeper than the parser's
-`MAX_DEPTH` admits and than Python's recursion limit would allow."""
+"""Structural walks: the package's walkers and its command line leave no
+garbage cycles, no function in `src/` defines a nested function that calls
+itself, and the iterative walkers read hand-built trees far deeper than the
+parser's `MAX_DEPTH` admits and than Python's recursion limit would allow."""
 
 from __future__ import annotations
 
+import ast
 import gc
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,7 @@ from coordsem import (
     STANDARD_LAWS,
     assertions,
     check_law,
+    compare,
     consistent,
     corpus_lookup,
     denote_one,
@@ -27,7 +33,9 @@ from coordsem import (
     dual,
     equivalent,
     instantiate,
+    judge,
     length_metric,
+    option_equivalent,
     parse,
     potential_clausal,
     potential_scalar,
@@ -35,6 +43,7 @@ from coordsem import (
     unparse,
 )
 from coordsem.boolean import truth_mask
+from coordsem.cli import COMMANDS, main
 from coordsem.formula import atom_names, atoms, or_nodes
 
 CORPUS = [corpus_lookup(label) for label in CORPUS_LABELS]
@@ -45,9 +54,31 @@ def _every(call):
     return lambda: [call(f) for f in CORPUS]
 
 
-# Each entry runs over the whole corpus. The entries that reach the option
-# pass (`denote_options`, `judge`, `compare`, `option_equivalent`) are left
-# out: its walker is still a self-calling closure (ROADMAP item 12).
+def _cli(*argv):
+    """`main(argv)` with its output discarded; the command must succeed."""
+    def call():
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(list(argv)) == 0
+    return call
+
+
+# Each walker entry runs over the whole corpus, each command in text format
+# (`--format json` leaves the garbage of the stdlib's indenting encoder).
+_COMMANDS = {
+    "laws": _cli("laws"),
+    "laws xor": _cli("laws", "--connectives", "xor"),
+    "denote": _cli("denote", *CORPUS_LABELS),
+    "judge": _cli("judge", *CORPUS_LABELS),
+    "equiv": _cli("equiv", "2a", "2b"),
+    "implicatures gazdar": _cli("implicatures", "2b"),
+    "implicatures soames": _cli("implicatures", "--mode", "soames", "--opinionated", "0", "2b"),
+    "prob frege": _cli("prob", "frege"),
+    "prob frege drop-beta": _cli("prob", "frege", "--drop-beta"),
+    "prob corollary": _cli("prob", "corollary"),
+    "prob explosion": _cli("prob", "explosion"),
+    "prob ordering": _cli("prob", "ordering"),
+    "reproduce": _cli("reproduce"),
+}
 _ENTRIES = {
     "parse": lambda: [parse(text) for text in TEXTS],
     "unparse": _every(unparse),
@@ -67,7 +98,16 @@ _ENTRIES = {
     "consistent": _every(lambda f: consistent(assertions(f) + potential_clausal(f))),
     "denote_one": _every(lambda f: denote_one(f, dict.fromkeys(range(len(or_nodes(f))), 1))),
     "length_metric": _every(length_metric),
+    "denote_options": _every(denote_options),
+    "judge": _every(judge),
+    "compare": lambda: [compare(f, g) for f, g in zip(CORPUS, CORPUS[1:])],
+    "option_equivalent": lambda: [option_equivalent(f, g) for f, g in zip(CORPUS, CORPUS[1:])],
+    **{f"cli {name}": call for name, call in _COMMANDS.items()},
 }
+
+
+def test_every_command_is_checked_for_garbage():
+    assert {name.split()[0] for name in _COMMANDS} == set(COMMANDS)
 
 
 @pytest.mark.parametrize("name", _ENTRIES)
@@ -108,3 +148,37 @@ def test_deep_hand_built_trees(kind):
     if kind is Or:
         with pytest.raises(SizeLimitError, match=f"^{DEPTH} or-nodes exceed"):
             denote_options(f)
+
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "coordsem").glob("*.py"))
+_DEF = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def self_calling_closures(source: str) -> list[str]:
+    """Each function nested in another function that names itself in its own
+    body. Such a closure refers to itself through a cell, so every call of
+    its outer function leaves a function <-> cell cycle for the collector."""
+    found = []
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, _DEF):
+            continue
+        for inner in ast.walk(outer):
+            if inner is not outer and isinstance(inner, _DEF) and any(
+                    isinstance(node, ast.Name) and node.id == inner.name
+                    for stmt in inner.body for node in ast.walk(stmt)):
+                found.append(f"line {inner.lineno}: {outer.name}.{inner.name}")
+    return found
+
+
+def test_the_scan_flags_a_self_calling_closure():
+    source = ("def walk(f):\n"
+              "    def go(node):\n        return [go(c) for c in node]\n"
+              "    def leaf(node):\n        return node\n"
+              "    return go(f), leaf(f)\n"
+              "def rec(n):\n    return rec(n - 1)\n")
+    assert self_calling_closures(source) == ["line 2: walk.go"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_self_calling_closures(path):
+    assert self_calling_closures(path.read_text()) == []
