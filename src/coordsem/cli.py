@@ -4,8 +4,9 @@ Subcommands: laws, denote, judge, equiv, implicatures, prob, reproduce.
 Every subcommand builds one JSON-serializable payload; --format picks the
 rendering (text tables or JSON of that same payload), --out additionally
 dumps the payload as JSON to a file, before anything is printed. Exit codes:
-0 success, 1 claim mismatch from `reproduce`, 2 usage or parse errors or an
---out file that cannot be written.
+0 success, 1 claim mismatch from `reproduce`, 2 usage or parse errors, an
+--out file that cannot be written, a stdout or stderr that cannot be
+written, or a stdout whose encoding cannot take the text.
 
 One table, `COMMANDS`, names each subcommand's handler, renderer, help,
 positionals and options; `parse_argv` reads the command line from it and
@@ -16,10 +17,10 @@ reader is argparse's classify-then-match algorithm (see `_read`), and
 
 `run` is the process entry, behind both the `coordsem` script and
 `python -m coordsem`: it freezes everything the imports built out of the
-garbage collector, runs `main`, flushes stdout and stderr and ends the
-process with `main`'s code, skipping the interpreter's teardown.
-`main(argv)` is the in-process entry and leaves the collector as it finds
-it.
+garbage collector, runs `main` and ends the process with `main`'s code,
+skipping the interpreter's teardown. `main(argv)` is the in-process entry
+and leaves the collector as it finds it: `_outcome` computes the code,
+stdout and stderr, and `_write` delivers each stream and flushes it.
 """
 
 from __future__ import annotations
@@ -501,57 +502,67 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _unwritable(err: OSError) -> int:
-    """Report that stdout failed (a full disk, a pipe whose reader has gone)
-    and give exit code 2. Stdout's file descriptor then points at
-    `os.devnull`, so the output still buffered is dropped without a second
-    error when stdout is next flushed, at teardown included."""
-    print(f"error: cannot write stdout: {err.strerror or err}", file=sys.stderr)
+def _outcome(argv: Sequence[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of the command line `argv`. Only
+    the --out file is written here."""
     try:
-        fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
-    except OSError:  # a stdout with no file descriptor
-        return 2
-    os.dup2(devnull, fd)
-    os.close(devnull)
-    return 2
-
-
-def _emit(out: str, code: int) -> int:
-    """Write out to stdout; code, or 2 if stdout cannot take it."""
-    try:
-        sys.stdout.write(out)
-    except OSError as err:
-        return _unwritable(err)
-    return code
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        args = parse_argv(sys.argv[1:] if argv is None else argv)
+        args = parse_argv(argv)
     except UsageExit as stop:
         if stop.error is None:
-            return _emit(_help(stop.command), 0)
-        sys.stderr.write(f"usage: {usage(stop.command)}\ncoordsem: error: {stop.error}\n")
-        return 2
+            return 0, _help(stop.command), ""
+        return 2, "", f"usage: {usage(stop.command)}\ncoordsem: error: {stop.error}\n"
     try:
         payload = args.handler(args)
     except WorkbenchError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if args.out:
+        return 2, "", f"error: {err}\n"
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(_json(payload))
         except OSError as err:
-            print(f"error: cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
-            return 2
+            return 2, "", f"error: cannot write {args.out}: {err.strerror or err}\n"
     out = _json(payload) if args.format == "json" else args.render(payload)
     mismatch = payload["command"] == "reproduce" and payload["summary"]["mismatches"]
-    return _emit(out, 1 if mismatch else 0)
+    return 1 if mismatch else 0, out, ""
+
+
+def _write(stream, text: str) -> Optional[Exception]:
+    """Write `text` to `stream` and flush it; the error if that fails (a
+    full disk, a pipe whose reader has gone, a character the stream's
+    encoding lacks). A failed stream's file descriptor then points at
+    `os.devnull`, so what is still buffered is dropped without a second
+    error when the stream is next flushed, at teardown included."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except (OSError, UnicodeEncodeError) as err:
+        try:
+            fd, devnull = stream.fileno(), os.open(os.devnull, os.O_WRONLY)
+        except OSError:  # a stream with no file descriptor
+            return err
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return err
+    return None
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run the command line `argv` (default `sys.argv[1:]`), write its
+    output to stdout and its report to stderr, and return the exit code. A
+    stdout that cannot be written gives code 2 and the report `error:
+    cannot write stdout: reason`; a stderr that cannot be written loses
+    its report and keeps the code."""
+    code, out, err = _outcome(sys.argv[1:] if argv is None else argv)
+    failed = _write(sys.stdout, out)
+    if failed is not None:
+        reason = getattr(failed, "strerror", None) or failed  # an encoding error has none
+        code, err = 2, f"error: cannot write stdout: {reason}\n"
+    _write(sys.stderr, err)
+    return code
 
 
 def run() -> NoReturn:
-    """Process entry: freeze, run `main()`, flush, and end the process with
+    """Process entry: freeze, run `main()`, and end the process with
     `main()`'s code. By now every module a command needs is imported, and
     the objects those imports built (functions, classes, the corpus) live
     until exit. `gc.freeze()` moves them to the permanent generation, so the
@@ -560,25 +571,12 @@ def run() -> NoReturn:
     entry may freeze, since it changes the collector for the whole
     interpreter.
 
-    Once the output is flushed nothing is left to do, so `os._exit` ends the
-    process without the interpreter's teardown, which frees every module
-    and object one by one; `atexit` hooks, `coverage` among them, do not
-    run. Stdout can fail in `main()`'s write or in this flush (a full disk,
-    or a pipe whose reader has gone); either way it is reported on stderr
-    as `error: cannot write stdout: ...` and the code is 2. If stderr's
-    flush fails, `sys.exit` takes the ordinary way out instead, and the
-    teardown reports the failure and sets the exit code."""
+    `main()` has flushed both streams, so nothing is left to do, and
+    `os._exit` ends the process without the interpreter's teardown, which
+    frees every module and object one by one; `atexit` hooks, `coverage`
+    among them, do not run."""
     gc.freeze()
-    code = main()
-    try:
-        sys.stdout.flush()
-    except OSError as err:
-        code = _unwritable(err)
-    try:
-        sys.stderr.flush()
-    except Exception:
-        sys.exit(code)
-    os._exit(code)
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -311,9 +311,9 @@ _BUFFERS = pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered",
 @_OUTPUTS
 @_BUFFERS
 def test_criterion_10_closed_stdout_pipe(argv, unbuffered):
-    # A write to a pipe whose reader has gone fails, inside main() or, for
-    # output still buffered when main() returns, at the entry's flush. Either
-    # way it is a usage failure, not a claim mismatch: exit 2 and one line.
+    # A write to a pipe whose reader has gone fails, in main()'s write or,
+    # for output still buffered, in its flush. Either way it is a usage
+    # failure, not a claim mismatch: exit 2 and one line.
     read, write = os.pipe()
     os.close(read)
     try:
@@ -333,4 +333,42 @@ def test_criterion_10_full_stdout_device(argv, unbuffered):
         got = _unwritable_stdout(full, argv, unbuffered)
     expected = (2, "error: cannot write stdout: No space left on device\n")
     _report("criterion 10: a full stdout device exits 2 with one line",
+            got == expected, [] if got == expected else [repr(got)[:300]])
+
+
+# argv, and whether stdout goes to /dev/full as well as stderr
+_FULL_STDERR_CASES = {
+    "parse error": (("judge", "A and ?"), False),
+    "full stdout": (("laws",), True),
+    "usage error": (("--nosuch",), False),
+    "help to a full stdout": (("-h",), True),
+    "unwritable --out": (("--out", "/nonexistent/x", "laws"), False),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("case", _FULL_STDERR_CASES)
+def test_criterion_10_full_stderr_device(case):
+    # The report is lost with stderr, but the code is still 2, not the 1
+    # of a claim mismatch or of a traceback that cannot be written either.
+    argv, full_stdout = _FULL_STDERR_CASES[case]
+    with open("/dev/full", "wb") as full:
+        done = subprocess.run([sys.executable, "-m", "coordsem", *argv],
+                              stdout=full if full_stdout else subprocess.PIPE, stderr=full,
+                              timeout=300)
+    failures = [] if done.returncode == 2 else [f"exit code {done.returncode}"]
+    if not full_stdout and done.stdout != _process(*argv)[1]:
+        failures.append(f"stdout {done.stdout[:200]!r} differs from a run with a writable stderr")
+    _report(f"criterion 10: a full stderr device exits 2 ({case})", not failures, failures)
+
+
+def test_criterion_10_stdout_that_cannot_encode_the_text():
+    # the parser takes any Unicode whitespace, and the text output echoes it
+    done = subprocess.run([sys.executable, "-m", "coordsem", "judge", "A\xa0and B"],
+                          capture_output=True, env={**os.environ, "PYTHONIOENCODING": "ascii"},
+                          timeout=300)
+    got = done.returncode, done.stdout, done.stderr.decode()
+    expected = (2, b"", "error: cannot write stdout: 'ascii' codec can't encode character "
+                        "'\\xa0' in position 1: ordinal not in range(128)\n")
+    _report("criterion 10: a stdout that cannot encode the text exits 2 with one line",
             got == expected, [] if got == expected else [repr(got)[:300]])

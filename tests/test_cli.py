@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import io
 import json
+import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
@@ -27,7 +29,7 @@ from coordsem import (
 )
 from coordsem.boolean import ATOM_LIMIT
 from coordsem.cli import main
-from coordsem.formula import _CORPUS_TEXT, MAX_DEPTH
+from coordsem.formula import _CORPUS_TEXT, CORPUS_LABELS, MAX_DEPTH
 
 
 def run(capsys, *argv):
@@ -251,9 +253,10 @@ def test_reproduce_matches(capsys):
 
 
 @pytest.mark.parametrize("argv", [["reproduce"], ["laws"]], ids=" ".join)
-@pytest.mark.parametrize("target", ["missing directory", "directory"])
+@pytest.mark.parametrize("target", ["missing directory", "directory", "empty name"])
 def test_unwritable_out_file_exits_2(capsys, tmp_path, argv, target):
-    out_file = tmp_path / "missing" / "x.json" if target == "missing directory" else tmp_path
+    out_file = {"missing directory": tmp_path / "missing" / "x.json", "directory": tmp_path,
+                "empty name": ""}[target]
     code, out, err = run(capsys, "--out", str(out_file), *argv)
     assert code == 2
     assert out == ""
@@ -362,6 +365,87 @@ def test_equiv_on_arbitrary_text_exits_0_or_2(text):
     # text that reads as an unknown option exits 2, and -h exits 0
     code, _ = run_quietly("equiv", text, "A")
     assert code in (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# The process contract: every argv, with stdout and stderr failing after any
+# number of characters, ends in exit 0 or 2 and never in an exception
+
+class FailingStream(io.StringIO):
+    """A stream that takes `limit` characters and raises `OSError(code)`
+    on the write that would pass them; a limit of None takes everything."""
+
+    def __init__(self, limit, code):
+        super().__init__()
+        self.limit, self.code = limit, code
+
+    def write(self, text):
+        if self.limit is not None and self.tell() + len(text) > self.limit:
+            super().write(text[:self.limit - self.tell()])
+            raise OSError(self.code, os.strerror(self.code))
+        return super().write(text)
+
+
+_OPTIONS = cli.GLOBAL_OPTIONS + tuple(option for spec in cli.COMMANDS.values()
+                                      for option in spec[4])
+_CHOICES = tuple(choice for _, values, _, _ in _OPTIONS if isinstance(values, tuple)
+                 for choice in values) + tuple(
+    choice for spec in cli.COMMANDS.values() for _, _, values in spec[3]
+    if isinstance(values, tuple) for choice in values)
+# Commands, flags, choices and corpus labels from the CLI's tables, values
+# in and out of range, and formula text that parses, does not, or passes a
+# limit on its first check. The 2^16-option conjunction is left out: it
+# takes seconds.
+_WORDS = st.sampled_from((
+    *cli.COMMANDS, *(flag for flag, _, _, _ in _OPTIONS if flag != "--out"), *_CHOICES,
+    *CORPUS_LABELS, "-h", "--nosuch", "--", "0", "1", "12", "13", "-1", "x", "0,1",
+    "A or B", "A and ?", nested("parens", MAX_DEPTH), nested("parens", MAX_DEPTH + 1),
+    " or ".join(f"P{i}" for i in range(ATOM_LIMIT + 1)),
+    " or ".join(f"P{i}" for i in range(prospect.COEFF_LIMIT + 2)),
+))
+# the global options: --format, and --out to a file that can be written,
+# into a missing directory, or named ""
+_GLOBAL = st.one_of(st.sampled_from(("text", "json")).map(lambda f: ["--format", f]),
+                    st.sampled_from(("FILE", "MISSING", "")).map(lambda f: ["--out", f]))
+# Before the command, global options or any word; after it, any words, or a
+# few labels and choices, which more often make a command line that runs.
+_CONTRACT_ARGVS = st.tuples(
+    st.lists(st.one_of(_GLOBAL, _WORDS.map(lambda word: [word])), max_size=2),
+    st.sampled_from(tuple(cli.COMMANDS)),
+    st.one_of(st.lists(_WORDS, max_size=4),
+              st.lists(st.sampled_from(CORPUS_LABELS + _CHOICES), max_size=2)),
+).map(lambda t: [*(word for words in t[0] for word in words), t[1], *t[2]])
+_LIMITS = st.one_of(st.none(), st.integers(0, 4000))
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("out")
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_CONTRACT_ARGVS, out_limit=_LIMITS, err_limit=_LIMITS,
+       code=st.sampled_from((errno.EPIPE, errno.ENOSPC)))
+def test_every_argv_and_failed_write_exits_0_or_2(out_dir, argv, out_limit, err_limit, code):
+    targets = {"FILE": str(out_dir / "x.json"), "MISSING": str(out_dir / "missing" / "x.json")}
+    argv = [targets.get(word, word) for word in argv]
+    out, err = FailingStream(out_limit, code), FailingStream(err_limit, code)
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(argv)  # no exception leaves main
+    assert status in (0, 2)
+    if status == 0:
+        working = io.StringIO()
+        with redirect_stdout(working), redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+        assert out.getvalue() == working.getvalue()
+    elif err_limit is None:
+        report = err.getvalue()
+        assert report.endswith("\n")
+        *before, last = report[:-1].split("\n")
+        if last.startswith("coordsem: error: "):
+            assert len(before) == 1 and before[0].startswith("usage: coordsem")
+        else:
+            assert last.startswith("error: ") and before == []
 
 
 # ---------------------------------------------------------------------------
