@@ -43,7 +43,6 @@ from .formula import (
     Formula,
     corpus_lookup,
     length_metric,
-    or_nodes,
     parse,
     unparse,
 )
@@ -200,14 +199,10 @@ def _cmd_implicatures(args: SimpleNamespace) -> dict:
 
 
 def _render_implicatures(data: dict) -> str:
-    # Clausal and scalar entries name their or-node by its number, so equal
-    # nodes' entries stay apart; the formula text round-trips through parse.
-    number = {tuple(path): i for i, (path, _) in enumerate(or_nodes(parse(data["formula"])))}
-
     def entry(c: dict) -> str:
         tag = c["provenance"]
         if tag != "assertion":
-            tag += f" at or-node {number[tuple(c['source'])]}"
+            tag += f" at or-node {c['source']}"
         return f"  {c['polarity']}({c['body']})  [{tag}]"
 
     lines = [f"{data['input']}: {data['formula']} ({data['mode']} mode)", "accepted:"]
@@ -515,13 +510,15 @@ def _outcome(argv: Sequence[str]) -> tuple[int, str, str]:
         payload = args.handler(args)
     except WorkbenchError as err:
         return 2, "", f"error: {err}\n"
+    dumped = _json(payload) if args.format == "json" or args.out is not None else None
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(_json(payload))
-        except OSError as err:
-            return 2, "", f"error: cannot write {args.out}: {err.strerror or err}\n"
-    out = _json(payload) if args.format == "json" else args.render(payload)
+                fh.write(dumped)
+        except (OSError, ValueError) as err:  # a path with a NUL byte raises ValueError
+            reason = getattr(err, "strerror", None) or err
+            return 2, "", f"error: cannot write {args.out}: {reason}\n"
+    out = dumped if args.format == "json" else args.render(payload)
     mismatch = payload["command"] == "reproduce" and payload["summary"]["mismatches"]
     return 1 if mismatch else 0, out, ""
 

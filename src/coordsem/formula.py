@@ -25,7 +25,7 @@ counting each "(", each "not" and each right operand of a binary connective.
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import count, islice
 from typing import Callable, Iterator, Mapping, Optional, Union
 
 from ._record import Record
@@ -95,43 +95,42 @@ def subformulas(f: Formula) -> Iterator[tuple[tuple[int, ...], Formula]]:
             stack.append((path + (0,), node.left))
 
 
-_OrPaths = list[tuple[tuple[int, ...], Or]]
-
-
-def _walk(f: Formula) -> tuple[dict[str, Atom], _OrPaths, list[int], Optional[Formula]]:
+def _walk(f: Formula) -> tuple[dict[str, Atom], list[Or], list[int], Optional[Formula]]:
     """One pre-order walk of f, on its own stack: f's atoms keyed by name,
-    in textual order, the first occurrence deciding; its or-nodes with their
-    paths, in pre-order, which is path order; for each or-node number n (see
-    `or_nodes`), the pre-order index of or-node n; and f's first `not` or
-    `xor` node in pre-order, or None. An or-node's number counts the
-    or-nodes an in-order walk visits before it, so a marker holding its
-    index is pushed between its right and left subtrees."""
+    in textual order, the first occurrence deciding; its or-nodes in
+    pre-order; the number of each (see `or_nodes`), in the same order; and
+    f's first `not` or `xor` node in pre-order, or None. An or-node's number
+    counts the or-nodes an in-order walk visits before it, so a marker, its
+    pre-order index, is pushed between its right and left subtrees, and the
+    markers pop in number order."""
     found: dict[str, Atom] = {}
-    ors: _OrPaths = []
-    by_number: list[int] = []
+    ors: list[Or] = []
+    numbers: list[int] = []
+    number = count()
     refused = None
-    stack = [((), f)]
+    stack = [f]
     pop, push = stack.pop, stack.append
     while stack:
-        path, node = pop()
+        node = pop()
         kind = type(node)
         if kind is AtomNode:
             found.setdefault(node.atom.name, node.atom)
-        elif node is None:  # the marker of the or-node whose index is `path`
-            by_number.append(path)
+        elif kind is int:  # the marker of pre-order or-node `node`
+            numbers[node] = next(number)
         elif kind is Not:
             if refused is None:
                 refused = node
-            push((path + (0,), node.child))
+            push(node.child)
         else:
-            push((path + (1,), node.right))
+            push(node.right)
             if kind is Or:
-                push((len(ors), None))
-                ors.append((path, node))
+                push(len(ors))
+                ors.append(node)
+                numbers.append(0)
             elif kind is Xor and refused is None:
                 refused = node
-            push((path + (0,), node.left))
-    return found, ors, by_number, refused
+            push(node.left)
+    return found, ors, numbers, refused
 
 
 def atoms(f: Formula) -> dict[str, Atom]:
@@ -143,13 +142,13 @@ def atom_names(f: Formula) -> list[str]:
     return sorted(_walk(f)[0])
 
 
-def or_nodes(f: Formula) -> _OrPaths:
-    """All Or nodes with their paths, in the order of their numbers: or-node
-    i is the i-th `or` keyword of `unparse(f)`. That order is in-order, a
-    node after its left subtree and before its right one, and is read off
-    `_walk`'s numbering, so one Or object at two positions is two nodes."""
-    _, ors, by_number, _ = _walk(f)
-    return [ors[i] for i in by_number]
+def or_nodes(f: Formula) -> list[Or]:
+    """All Or nodes in the order of their numbers: or-node i is the i-th
+    `or` keyword of `unparse(f)`. That order is in-order, a node after its
+    left subtree and before its right one, and is read off `_walk`'s
+    numbering, so one Or object at two positions is two nodes."""
+    _, ors, numbers, _ = _walk(f)
+    return [node for _, node in sorted(zip(numbers, ors))]  # no two numbers are equal
 
 
 def _rebuild(f: Formula, leaf: Callable[[AtomNode], Formula],

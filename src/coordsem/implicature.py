@@ -70,13 +70,14 @@ def _mode(mode: Mode | str) -> Mode:
 
 
 class EpistemicConstraint(Record):
-    """polarity(body), tagged with how it arose and the path of the
-    subformula (for clausal/scalar: the generating or-node) it came from."""
+    """polarity(body), tagged with how it arose and where from: for a
+    clausal or scalar constraint, the number of the or-node that generated
+    it (see `formula.or_nodes`); for an assertion, None."""
 
     polarity: Polarity
     body: Formula
     provenance: Provenance
-    source: tuple[int, ...]
+    source: Optional[int]
 
     def __str__(self) -> str:
         return f"{self.polarity.value}({unparse(self.body)})"
@@ -86,7 +87,7 @@ class EpistemicConstraint(Record):
             "polarity": self.polarity.value,
             "body": unparse(self.body),
             "provenance": self.provenance.value,
-            "source": list(self.source),
+            "source": self.source,
         }
 
 
@@ -98,19 +99,18 @@ def assertions(f: Formula) -> list[EpistemicConstraint]:
     asserted too; they are emitted first, the whole sentence last."""
     out = []
     if isinstance(f, And):
-        out.append(EpistemicConstraint(Polarity.K, f.left, Provenance.ASSERTION, (0,)))
-        out.append(EpistemicConstraint(Polarity.K, f.right, Provenance.ASSERTION, (1,)))
-    out.append(EpistemicConstraint(Polarity.K, f, Provenance.ASSERTION, ()))
+        out.append(EpistemicConstraint(Polarity.K, f.left, Provenance.ASSERTION, None))
+        out.append(EpistemicConstraint(Polarity.K, f.right, Provenance.ASSERTION, None))
+    out.append(EpistemicConstraint(Polarity.K, f, Provenance.ASSERTION, None))
     return out
 
 
-def _strong(f: Formula, mode: Mode, opinionated: Sequence[int],
-            by_number: Sequence[int]) -> Container[int]:
-    """The pre-order indices of f's or-nodes that get a strong form: all of
-    them in gazdar mode, the opinionated ones in soames mode. Refuses an
+def _strong(f: Formula, mode: Mode, opinionated: Sequence[int], ors: int) -> Container[int]:
+    """The numbers of f's `ors` or-nodes that get a strong form: all of them
+    in gazdar mode, the opinionated ones in soames mode. Refuses an
     opinionated id outside soames mode or one that numbers none of f's
     or-nodes, checking the ids in their order."""
-    ids = range(len(by_number))
+    ids = range(ors)
     for n in opinionated:
         if mode is not Mode.SOAMES:
             raise WorkbenchError(f"opinionated or-node ids apply to soames mode only, "
@@ -118,17 +118,15 @@ def _strong(f: Formula, mode: Mode, opinionated: Sequence[int],
         if n not in ids:
             raise WorkbenchError(f"no or-node {n!r}: the or-node ids of {unparse(f)!r} "
                                  f"are {list(ids) or 'none'}")
-    if mode is Mode.GAZDAR:
-        return ids
-    return {index for n, index in enumerate(by_number) if n in opinionated}
+    return ids if mode is Mode.GAZDAR else opinionated
 
 
 _Candidate = tuple[EpistemicConstraint, bool, int]  # the constraint, is it K, its mask
 
 
-def _ignorance(path: tuple[int, ...], node: Or, left: int, right: int,
+def _ignorance(number: int, node: Or, left: int, right: int,
                universe: int) -> list[_Candidate]:
-    """The clausal candidates of the or-node `node` at `path`, given its
+    """The clausal candidates of the or-node `node` numbered `number`, given its
     operands' masks: notK of psi and of not psi for each disjunct psi, left
     first, with masks m and U ^ m, each body kept only if no earlier one
     equals it. Callers that want no masks pass zeros."""
@@ -139,22 +137,22 @@ def _ignorance(path: tuple[int, ...], node: Or, left: int, right: int,
             if body not in bodies:
                 bodies.append(body)
                 kept.append((EpistemicConstraint(Polarity.NOT_K, body, Provenance.CLAUSAL,
-                                                 path), False, mask))
+                                                 number), False, mask))
     return kept
 
 
-def _exclusivity(path: tuple[int, ...], node: Or, both: int, universe: int,
+def _exclusivity(number: int, node: Or, both: int, universe: int,
                  strong: bool) -> list[_Candidate]:
-    """The weak candidate of the or-node `node` at `path`, then its strong
+    """The weak candidate of the or-node `node` numbered `number`, then its strong
     one if `strong`, given the mask `both` of its operands' AND: notK(psi and
     chi) with mask `both` and K(not (psi and chi)) with U ^ `both`. Callers
     that want no masks pass zeros."""
     conjunction = And(node.left, node.right)
-    out = [(EpistemicConstraint(Polarity.NOT_K, conjunction, Provenance.SCALAR_WEAK, path),
+    out = [(EpistemicConstraint(Polarity.NOT_K, conjunction, Provenance.SCALAR_WEAK, number),
             False, both)]
     if strong:
         out.append((EpistemicConstraint(Polarity.K, Not(conjunction),
-                                        Provenance.SCALAR_STRONG, path), True, universe ^ both))
+                                        Provenance.SCALAR_STRONG, number), True, universe ^ both))
     return out
 
 
@@ -162,9 +160,9 @@ def potential_clausal(f: Formula) -> list[EpistemicConstraint]:
     """Ignorance constraints: for each disjunct psi of each or-node,
     notK(psi) and notK(not psi). Duplicates collapse within a node (an
     or-node with identical disjuncts contributes one pair); distinct nodes
-    keep distinct entries. The or-nodes come in path order."""
-    _, ors, _, _ = _walk(f)
-    return [c for path, node in ors for c, _, _ in _ignorance(path, node, 0, 0, 0)]
+    keep distinct entries. The or-nodes come in pre-order."""
+    _, ors, numbers, _ = _walk(f)
+    return [c for node, n in zip(ors, numbers) for c, _, _ in _ignorance(n, node, 0, 0, 0)]
 
 
 def potential_scalar(
@@ -176,15 +174,15 @@ def potential_scalar(
     form notK(psi and chi) is always emitted; the strong form
     K(not (psi and chi)) by default in gazdar mode, and in soames mode only
     for or-nodes listed as opinionated by number (see `formula.or_nodes`).
-    Each entry has its own node's path, and a node's two entries differ in
+    Each entry has its own node's number, and a node's two entries differ in
     polarity, so none repeat. `mode` may be a `Mode` or its value; any
     other raises `WorkbenchError`, as does an opinionated id outside soames
     mode or one that numbers none of f's or-nodes."""
     mode = _mode(mode)
-    _, ors, by_number, _ = _walk(f)
-    strong = _strong(f, mode, opinionated, by_number)
-    return [c for i, (path, node) in enumerate(ors)
-            for c, _, _ in _exclusivity(path, node, 0, 0, i in strong)]
+    _, ors, numbers, _ = _walk(f)
+    strong = _strong(f, mode, opinionated, len(ors))
+    return [c for node, n in zip(ors, numbers)
+            for c, _, _ in _exclusivity(n, node, 0, 0, n in strong)]
 
 
 def _masks(constraints: Iterable[EpistemicConstraint],
@@ -319,10 +317,11 @@ def _candidates(f: Formula, mode: Mode, opinionated: Sequence[int]
                 ) -> tuple[int, list[int], list[_Candidate]]:
     """The universe over f's atoms, the masks of `assertions(f)` and the
     candidates in projection order: every clausal one, then every weak one,
-    then every strong one, each tier in path order, each candidate with its
-    mask. Opinionated ids are refused before the atom limit."""
-    found, ors, by_number, _ = _walk(f)
-    strong = _strong(f, mode, opinionated, by_number)
+    then every strong one, each tier in the or-nodes' pre-order, each
+    candidate with its mask. Opinionated ids are refused before the atom
+    limit."""
+    found, ors, numbers, _ = _walk(f)
+    strong = _strong(f, mode, opinionated, len(ors))
     atom = _name_masks(sorted(found))  # refuses > ATOM_LIMIT names before the universe
     universe = (1 << 2 ** len(found)) - 1
     operands: list[tuple[int, int]] = []  # each or-node's operand masks, in pre-order
@@ -335,9 +334,9 @@ def _candidates(f: Formula, mode: Mode, opinionated: Sequence[int]
     clausal: list[_Candidate] = []
     weak: list[_Candidate] = []
     strong_forms: list[_Candidate] = []
-    for i, ((path, node), (left, right)) in enumerate(zip(ors, operands)):
-        clausal += _ignorance(path, node, left, right, universe)
-        weak_form, *strong_form = _exclusivity(path, node, left & right, universe, i in strong)
+    for node, n, (left, right) in zip(ors, numbers, operands):
+        clausal += _ignorance(n, node, left, right, universe)
+        weak_form, *strong_form = _exclusivity(n, node, left & right, universe, n in strong)
         weak.append(weak_form)
         strong_forms += strong_form
     return universe, asserted, clausal + weak + strong_forms

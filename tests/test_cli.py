@@ -253,10 +253,11 @@ def test_reproduce_matches(capsys):
 
 
 @pytest.mark.parametrize("argv", [["reproduce"], ["laws"]], ids=" ".join)
-@pytest.mark.parametrize("target", ["missing directory", "directory", "empty name"])
+@pytest.mark.parametrize("target", ["missing directory", "directory", "empty name", "NUL byte"])
 def test_unwritable_out_file_exits_2(capsys, tmp_path, argv, target):
+    # open() refuses a NUL byte with ValueError, not OSError
     out_file = {"missing directory": tmp_path / "missing" / "x.json", "directory": tmp_path,
-                "empty name": ""}[target]
+                "empty name": "", "NUL byte": "a\0b"}[target]
     code, out, err = run(capsys, "--out", str(out_file), *argv)
     assert code == 2
     assert out == ""
@@ -404,9 +405,9 @@ _WORDS = st.sampled_from((
     " or ".join(f"P{i}" for i in range(prospect.COEFF_LIMIT + 2)),
 ))
 # the global options: --format, and --out to a file that can be written,
-# into a missing directory, or named ""
+# into a missing directory, named "", or named with a NUL byte
 _GLOBAL = st.one_of(st.sampled_from(("text", "json")).map(lambda f: ["--format", f]),
-                    st.sampled_from(("FILE", "MISSING", "")).map(lambda f: ["--out", f]))
+                    st.sampled_from(("FILE", "MISSING", "", "a\0b")).map(lambda f: ["--out", f]))
 # Before the command, global options or any word; after it, any words, or a
 # few labels and choices, which more often make a command line that runs.
 _CONTRACT_ARGVS = st.tuples(

@@ -42,6 +42,12 @@ from coordsem.formula import CORPUS_LABELS, ITERABLE, JOIN, MEET, or_nodes, subf
 A, B, C = (AtomNode(Atom(n)) for n in "ABC")
 
 
+def _same(nodes, expected):
+    """The same node objects, position by position: equal Or values at two
+    positions compare equal, so `==` cannot tell them apart."""
+    return len(nodes) == len(expected) and all(a is b for a, b in zip(nodes, expected))
+
+
 def test_parse_grouping():
     assert parse("A and (B or C)") == And(A, Or(B, C))
 
@@ -53,7 +59,7 @@ def test_parse_self_disjunction():
 def test_parse_distinct_coefficients():
     f = parse("(A or B) and (A or C)")
     assert f == And(Or(A, B), Or(A, C))
-    assert [path for path, _ in or_nodes(f)] == [(0,), (1,)]
+    assert _same(or_nodes(f), [f.left, f.right])
 
 
 def test_parse_precedence_and_tighter_than_or():
@@ -69,7 +75,7 @@ def test_parse_right_associativity():
 def test_parse_coefficients_follow_textual_order():
     f = parse("(A or B) or (C or A)")
     assert f == Or(Or(A, B), Or(C, A))
-    assert [path for path, _ in or_nodes(f)] == [(0,), (), (1,)]
+    assert _same(or_nodes(f), [f.left, f, f.right])
 
 
 def test_or_values_compare_equal_wherever_they_stand():
@@ -172,16 +178,18 @@ def test_or_node_i_is_the_ith_or_keyword(text):
     f = parse(text)
     keywords = [m.start() for m in re.finditer(r"\bor\b", text)]
     assert len(or_nodes(f)) == len(keywords)
-    for (path, node), pos in zip(or_nodes(f), keywords):
-        g = dict(subformulas(parse(f"{text[:pos]}xor{text[pos + 2:]}")))
-        assert g[path] == Xor(node.left, node.right)
+    for node, pos in zip(or_nodes(f), keywords):
+        g = parse(f"{text[:pos]}xor{text[pos + 2:]}")
+        turned = [a for (_, a), (_, b) in zip(subformulas(f), subformulas(g))
+                  if type(a) is Or and type(b) is Xor]
+        assert _same(turned, [node])
 
 
 def test_or_nodes_are_in_order_not_pre_order():
     f = parse("((A or B) or C) or A")
-    assert [path for path, _ in or_nodes(f)] == [(0, 0), (0,), ()]
-    assert [path for path, node in subformulas(f) if isinstance(node, Or)] == \
-        [(), (0,), (0, 0)]
+    assert _same(or_nodes(f), [f.left.left, f.left, f])
+    assert _same([node for _, node in subformulas(f) if isinstance(node, Or)],
+                 [f, f.left, f.left.left])
 
 
 def test_corpus_contents():
@@ -276,10 +284,10 @@ def test_instantiate_dis1_collapses_to_absorption():
 def test_instantiate_numbers_or_nodes_by_position():
     lhs, rhs = instantiate(IDE1, {"X": parse("A or B")})
     assert (lhs, rhs) == (parse("(A or B) or (A or B)"), parse("A or B"))
-    assert [path for path, _ in or_nodes(lhs)] == [(0,), (), (1,)]
+    assert _same(or_nodes(lhs), [lhs.left, lhs, lhs.right])
     # the bound formula's or-node precedes the template's
     lhs, _ = instantiate(DIS2, {"X": parse("A or B"), "Y": B, "Z": C})
-    assert [path for path, _ in or_nodes(lhs)] == [(0,), ()]
+    assert _same(or_nodes(lhs), [lhs.left, lhs])
 
 
 def test_instantiate_unbound_metavariable():
@@ -353,7 +361,7 @@ def test_parse_unparse_round_trip(f):
 
 def _in_order_ors(f, path=()):
     """The reference numbering: a walk that visits a node between its
-    children's subtrees."""
+    children's subtrees, giving each or-node's path with the node."""
     if isinstance(f, Not):
         return _in_order_ors(f.child, path + (0,))
     if isinstance(f, AtomNode):
@@ -364,7 +372,7 @@ def _in_order_ors(f, path=()):
 
 @given(_tree)
 def test_or_nodes_follow_an_in_order_walk(f):
-    assert or_nodes(f) == _in_order_ors(f)
+    assert _same(or_nodes(f), [node for _, node in _in_order_ors(f)])
 
 
 @given(_trees({"A": "iterable", "B": "iterable", "C": "stative", "D": "iterable"}),

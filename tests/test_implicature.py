@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import re
 from itertools import product
 from unittest import mock
 
@@ -35,7 +37,7 @@ from coordsem import (
 )
 from coordsem.boolean import ATOM_LIMIT, _evaluate, _name_masks, truth_mask
 from coordsem.formula import IDE2, _walk, atom_names, instantiate, or_nodes, subformulas
-from coordsem import implicature
+from coordsem import cli, implicature
 from coordsem.implicature import (
     EpistemicConstraint,
     Suppression,
@@ -45,7 +47,7 @@ from small_scope import and_or_formulas, connective_formulas
 from test_formula import _in_order_ors
 
 
-def _c(polarity, text, provenance=Provenance.ASSERTION, source=()):
+def _c(polarity, text, provenance=Provenance.ASSERTION, source=None):
     return EpistemicConstraint(polarity, parse(text), provenance, source)
 
 
@@ -92,7 +94,7 @@ def test_clausal_self_disjunction_deduplicates():
 
 def test_clausal_equal_disjuncts_with_or_give_one_pair():
     got = potential_clausal(parse("(A or B) or (A or B)"))
-    root = [str(c) for c in got if c.source == ()]
+    root = [str(c) for c in got if c.source == 1]  # the root is or-node 1
     assert root == ["notK(A or B)", "notK(not (A or B))"]
     assert len(got) == 2 + 4 + 4  # each inner or-node keeps its own entries
 
@@ -106,7 +108,7 @@ def test_clausal_2b_keeps_per_node_entries():
     assert len(got) == 8
     # ignorance about A arises from each or-node separately
     sources = {c.source for c in got if unparse(c.body) == "A"}
-    assert sources == {(0,), (1,)}
+    assert sources == {0, 1}
 
 
 def test_scalar_gazdar():
@@ -129,11 +131,11 @@ def test_scalar_soames_needs_opinionatedness():
 
 
 def test_scalar_soames_names_or_nodes_by_position():
-    # or-node 0 is the inner node, which comes second in path order
+    # or-node 0 is the inner node, which comes second in pre-order
     got = potential_scalar(parse("(A or B) or C"), Mode.SOAMES, opinionated=(0,))
     assert [(str(c), c.source) for c in got] == [
-        ("notK((A or B) and C)", ()),
-        ("notK(A and B)", (0,)), ("K(not (A and B))", (0,))]
+        ("notK((A or B) and C)", 1),
+        ("notK(A and B)", 0), ("K(not (A and B))", 0)]
 
 
 _any_formula = st.recursive(
@@ -147,10 +149,10 @@ _any_formula = st.recursive(
 
 
 @given(_any_formula)
-def test_or_paths_come_in_path_order(f):
-    path_sorted = sorted(((p, n) for p, n in subformulas(f) if isinstance(n, Or)),
-                         key=lambda pn: pn[0])
-    found, ors, by_number, refused = _walk(f)
+def test_walk_reads_or_nodes_in_pre_order_with_their_numbers(f):
+    pre_order = [(p, n) for p, n in subformulas(f) if isinstance(n, Or)]
+    in_order = [p for p, _ in _in_order_ors(f)]
+    found, ors, numbers, refused = _walk(f)
     # the atoms, first occurrence first, and the first not or xor, against
     # the reference pre-order walk
     first = {}
@@ -159,10 +161,11 @@ def test_or_paths_come_in_path_order(f):
             first.setdefault(node.atom.name, node.atom)
     assert list(found.items()) == list(first.items())
     assert refused is next((n for _, n in subformulas(f) if isinstance(n, (Not, Xor))), None)
-    assert ors == path_sorted
-    # or-node n, found by its pre-order index, is the reference's or-node n
-    assert [ors[i] for i in by_number] == _in_order_ors(f)
-    # one or-node per path and two polarities per node: nothing to deduplicate
+    assert len(ors) == len(pre_order)
+    assert all(node is n for node, (_, n) in zip(ors, pre_order))
+    # each or-node's number is its position in the reference's in-order walk
+    assert numbers == [in_order.index(p) for p, _ in pre_order]
+    # one number per or-node and two polarities per node: nothing to deduplicate
     for mode, opinionated in ((Mode.GAZDAR, ()), (Mode.SOAMES, _every_or_node(f))):
         scalar = potential_scalar(f, mode, opinionated)
         assert scalar == list(dict.fromkeys(scalar))
@@ -388,11 +391,11 @@ def test_each_opinionated_id_adds_the_strong_form_of_its_or_node():
     # all of them in any iterable
     for f in and_or_formulas(3):
         numbered = or_nodes(f)
-        for n, (path, node) in enumerate(numbered):
+        for n, node in enumerate(numbered):
             scalar = potential_scalar(f, Mode.SOAMES, (n,))
             assert [c for c in scalar if c.provenance is Provenance.SCALAR_STRONG] == [
                 EpistemicConstraint(Polarity.K, Not(And(node.left, node.right)),
-                                    Provenance.SCALAR_STRONG, path)]
+                                    Provenance.SCALAR_STRONG, n)]
         every = potential_scalar(f, Mode.SOAMES, _every_or_node(f))
         assert every == potential_scalar(f, Mode.GAZDAR)
         assert potential_scalar(f, "soames", range(len(numbered))) == every
@@ -637,7 +640,7 @@ def test_a_shared_leaf_gets_the_same_mask_at_every_path():
             leaves.setdefault(node.atom.name, set()).add(id(node))
     assert leaves and all(len(ids) == 1 for ids in leaves.values())
     _, ors, _, _ = _walk(f)
-    assert [(unparse(node.left), unparse(node.right)) for _, node in ors] == \
+    assert [(unparse(node.left), unparse(node.right)) for node in ors] == \
         [("A", "B"), ("B", "C or A"), ("C", "A")]
     a, b, c = (truth_mask(parse(n), atom_names(f)) for n in "ABC")
     assert _operand_masks(f) == [(a, b), (b, c | a), (c, a)]
@@ -648,7 +651,8 @@ def test_one_or_object_at_two_positions_is_two_or_nodes():
     # so nothing keyed on the node object may number or evaluate it
     f, _ = instantiate(IDE2, {"X": parse("A or B")})
     assert f.left is f.right
-    assert [path for path, _ in or_nodes(f)] == [(0,), (1,)]
+    assert or_nodes(f) == [f.left, f.right]
+    assert _walk(f)[2] == [0, 1]
     a, b = (truth_mask(parse(n), ["A", "B"]) for n in "AB")
     assert _operand_masks(f) == [(a, b), (a, b)]
     twice = parse("(A or B) and (A or B)")
@@ -656,6 +660,50 @@ def test_one_or_object_at_two_positions_is_two_or_nodes():
     for mode, opinionated in ((Mode.GAZDAR, ()), (Mode.SOAMES, ()), (Mode.SOAMES, (1,))):
         assert project(f, mode, opinionated).serialize() == \
             project(twice, mode, opinionated).serialize()
+
+
+_TAG = re.compile(r"\[([a-z_]+)(?: at or-node (\d+))?\]")
+
+
+def test_every_source_is_the_number_of_the_or_node_that_builds_its_body():
+    # In every mode, the JSON's source of a constraint and the text's "at
+    # or-node N" agree, and or-node N's disjuncts build the body; one hand-built
+    # tree holds one Or object at or-nodes 0 and 2.
+    shared = parse("A or B")
+    formulas = [*and_or_formulas(3), *connective_formulas(2),
+                Or(shared, And(AtomNode(Atom("C")), shared))]
+    checked = 0
+    for f in formulas:
+        numbered = or_nodes(f)
+        assert numbered == [node for _, node in _in_order_ors(f)]
+        for mode, opinionated in ((Mode.GAZDAR, ()), (Mode.SOAMES, ()),
+                                  (Mode.SOAMES, _every_or_node(f))):
+            try:
+                report = project(f, mode, opinionated)
+            except WorkbenchError:
+                continue
+            payload = {"command": "implicatures", "input": "f", "formula": unparse(f),
+                       **report.serialize()}
+            data = json.loads(cli._json(payload))
+            entries = [*data["accepted"], *(s["constraint"] for s in data["suppressed"])]
+            tags = _TAG.findall(cli._render_implicatures(payload))
+            constraints = [*report.accepted, *report.suppressed_constraints()]
+            assert len(entries) == len(tags) == len(constraints)
+            for c, entry, (provenance, number) in zip(constraints, entries, tags):
+                assert (entry["provenance"], entry["source"]) == (provenance, c.source)
+                if c.provenance is Provenance.ASSERTION:
+                    assert c.source is None and number == ""
+                    continue
+                assert number == str(c.source)
+                node = numbered[c.source]
+                left, right = node.left, node.right
+                assert c.body in {
+                    Provenance.CLAUSAL: (left, Not(left), right, Not(right)),
+                    Provenance.SCALAR_WEAK: (And(left, right),),
+                    Provenance.SCALAR_STRONG: (Not(And(left, right)),),
+                }[c.provenance]
+                checked += 1
+    assert checked > len(formulas)
 
 
 def reference_minimal_clash_set(accepted, candidate):

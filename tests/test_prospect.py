@@ -320,7 +320,7 @@ def _reference_judge(f, options):
                     for p in OptionSet(options).sorted()
                     for name, coeff in p.parts
                     if coeff >= 2 and aspect[name] == STATIVE)
-    hobsons = tuple(n for n, (_, node) in enumerate(or_nodes(f))
+    hobsons = tuple(n for n, node in enumerate(or_nodes(f))
                     if OptionSet(reference_options(node.left))
                     == OptionSet(reference_options(node.right)))
     if doubles:

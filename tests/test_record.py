@@ -128,7 +128,7 @@ class EpistemicConstraint:
     polarity: imp.Polarity
     body: object
     provenance: imp.Provenance
-    source: tuple
+    source: Optional[int]
 
 
 @dataclass(frozen=True)

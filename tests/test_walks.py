@@ -1,13 +1,15 @@
 """Structural walks: the package's walkers and its command line leave no
-garbage cycles, no function in `src/` defines a nested function that calls
-itself, and the iterative walkers read hand-built trees far deeper than the
-parser's `MAX_DEPTH` admits and than Python's recursion limit would allow."""
+garbage cycles (in JSON format, none beyond the stdlib encoder's), no
+function in `src/` defines a nested function that calls itself, and the
+iterative walkers read hand-built trees far deeper than the parser's
+`MAX_DEPTH` admits and than Python's recursion limit would allow."""
 
 from __future__ import annotations
 
 import ast
 import gc
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -43,7 +45,7 @@ from coordsem import (
     unparse,
 )
 from coordsem.boolean import truth_mask
-from coordsem.cli import COMMANDS, main
+from coordsem.cli import COMMANDS, main, parse_argv
 from coordsem.formula import atom_names, atoms, or_nodes
 
 CORPUS = [corpus_lookup(label) for label in CORPUS_LABELS]
@@ -63,22 +65,27 @@ def _cli(*argv):
 
 
 # Each walker entry runs over the whole corpus, each command in text format
-# (`--format json` leaves the garbage of the stdlib's indenting encoder).
-_COMMANDS = {
-    "laws": _cli("laws"),
-    "laws xor": _cli("laws", "--connectives", "xor"),
-    "denote": _cli("denote", *CORPUS_LABELS),
-    "judge": _cli("judge", *CORPUS_LABELS),
-    "equiv": _cli("equiv", "2a", "2b"),
-    "implicatures gazdar": _cli("implicatures", "2b"),
-    "implicatures soames": _cli("implicatures", "--mode", "soames", "--opinionated", "0", "2b"),
-    "prob frege": _cli("prob", "frege"),
-    "prob frege drop-beta": _cli("prob", "frege", "--drop-beta"),
-    "prob corollary": _cli("prob", "corollary"),
-    "prob explosion": _cli("prob", "explosion"),
-    "prob ordering": _cli("prob", "ordering"),
-    "reproduce": _cli("reproduce"),
+# and in JSON format.
+_ARGVS = {
+    "laws": ["laws"],
+    "laws xor": ["laws", "--connectives", "xor"],
+    "denote": ["denote", *CORPUS_LABELS],
+    "judge": ["judge", *CORPUS_LABELS],
+    "equiv": ["equiv", "2a", "2b"],
+    "implicatures gazdar": ["implicatures", "2b"],
+    "implicatures soames": ["implicatures", "--mode", "soames", "--opinionated", "0", "2b"],
+    "prob frege": ["prob", "frege"],
+    "prob frege drop-beta": ["prob", "frege", "--drop-beta"],
+    "prob corollary": ["prob", "corollary"],
+    "prob explosion": ["prob", "explosion"],
+    "prob ordering": ["prob", "ordering"],
+    "reproduce": ["reproduce"],
 }
+_COMMANDS = {name: _cli(*argv) for name, argv in _ARGVS.items()}
+# `--format json` leaves the garbage of the stdlib's indenting encoder, whose
+# nested functions refer to one another: the same as `json.dumps` of the
+# payload alone leaves, whatever the Python version makes of it.
+_JSON_ARGVS = {f"cli json {name}": ["--format", "json", *argv] for name, argv in _ARGVS.items()}
 _ENTRIES = {
     "parse": lambda: [parse(text) for text in TEXTS],
     "unparse": _every(unparse),
@@ -103,6 +110,7 @@ _ENTRIES = {
     "compare": lambda: [compare(f, g) for f, g in zip(CORPUS, CORPUS[1:])],
     "option_equivalent": lambda: [option_equivalent(f, g) for f, g in zip(CORPUS, CORPUS[1:])],
     **{f"cli {name}": call for name, call in _COMMANDS.items()},
+    **{name: _cli(*argv) for name, argv in _JSON_ARGVS.items()},
 }
 
 
@@ -110,18 +118,27 @@ def test_every_command_is_checked_for_garbage():
     assert {name.split()[0] for name in _COMMANDS} == set(COMMANDS)
 
 
-@pytest.mark.parametrize("name", _ENTRIES)
-def test_no_garbage_cycles(name):
-    call = _ENTRIES[name]
+def _garbage(call):
+    """The objects that 100 calls of `call` leave for the collector."""
     call()  # a first call may fill a cache
     gc.collect()
     gc.disable()
     try:
         for _ in range(100):
             call()
-        assert gc.collect() == 0
+        return gc.collect()
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", _ENTRIES)
+def test_no_garbage_cycles(name):
+    alone = 0
+    if name in _JSON_ARGVS:
+        args = parse_argv(_JSON_ARGVS[name])
+        payload = args.handler(args)
+        alone = _garbage(lambda: json.dumps(payload, indent=2, sort_keys=True))
+    assert _garbage(_ENTRIES[name]) == alone
 
 
 DEPTH = 3000  # past the interpreter's default recursion limit, 1000
@@ -141,7 +158,11 @@ def test_deep_hand_built_trees(kind):
     f = _chain(kind)
     ors = or_nodes(f)
     assert len(ors) == (DEPTH if kind is Or else 0)
-    assert [len(path) for path, _ in ors] == list(range(len(ors)))
+    # or-node i is the i-th Or down the right spine
+    spine = [f]
+    while len(spine) < len(ors):
+        spine.append(spine[-1].right)
+    assert all(node is at for node, at in zip(ors, spine))
     assert list(atoms(f)) == ["A1", "A2", "A3", "A4", "A0"]
     assert atom_names(f) == ["A0", "A1", "A2", "A3", "A4"]
     assert length_metric(f) == 2 * DEPTH + 1
