@@ -1,7 +1,7 @@
 """Classical truth-table semantics: evaluation, equivalence with
-counterexample extraction, law checking under connective substitution, and
-the meet/join duality transform, over one truth-table kernel, `_evaluate`,
-which `implicature.project` reads too.
+counterexample extraction, law checking (a law holds iff its two templates
+are equivalent), and the duality transform that swaps `and` and `or`, over
+one truth-table kernel, `_evaluate`, which `implicature.project` reads too.
 
 World order, shared by every module that searches truth assignments and
 defined only by the atom masks `_ATOM_MASKS`: lexicographic over the names
@@ -19,18 +19,17 @@ from typing import Iterator, Mapping, Optional, Sequence
 from ._record import Record
 from .errors import AtomLimitError, MissingAtomError, UnsupportedConnectiveError
 from .formula import (
-    JOIN,
-    MEET,
     And,
-    Atom,
     AtomNode,
     Formula,
     LawSchema,
     Not,
     Or,
+    Xor,
+    _rebuild,
     atom_names,
-    instantiate,
     parse,
+    subformulas,
 )
 
 Assignment = Mapping[str, bool]
@@ -125,7 +124,6 @@ class Verdict(Enum):
 class LawVerdict(Record):
     status: Verdict
     counterexample: Optional[dict[str, bool]] = None
-    binding: Optional[dict[str, str]] = None  # metavariable -> atom name
 
     @property
     def valid(self) -> bool:
@@ -144,27 +142,20 @@ def equivalent(f: Formula, g: Formula) -> LawVerdict:
 
 
 def check_law(schema: LawSchema) -> LawVerdict:
-    """Instantiate the schema's metavariables with distinct fresh atoms and
-    test the two sides for truth-table equivalence. By functional
-    completeness over fresh atoms this decides schematic validity."""
-    binding = {name: AtomNode(Atom(name)) for name in sorted(schema.metavariables)}
-    lhs, rhs = instantiate(schema, binding)
-    verdict = equivalent(lhs, rhs)
-    if verdict.valid:
-        return verdict
-    return LawVerdict(Verdict.INVALID, counterexample=verdict.counterexample,
-                      binding={name: name for name in binding})
+    """Test the schema's two templates for truth-table equivalence. Their
+    metavariables are distinct atoms, so by functional completeness this
+    decides schematic validity; a counterexample assigns the metavariables."""
+    return equivalent(schema.lhs, schema.rhs)
 
 
 def dual(schema: LawSchema) -> LawSchema:
-    """Swap meet and join, that is `and` and `or`, in both templates.
-    Undefined when the schema maps a connective to xor."""
-    targets = {dst for _, dst in schema.connective_map}
-    if "xor" in targets:
-        raise UnsupportedConnectiveError("duality is undefined for xor substitutions")
-    swapped = LawSchema(schema.name, schema.lhs, schema.rhs, ((MEET, "or"), (JOIN, "and")))
-    lhs, rhs = instantiate(swapped, {name: AtomNode(Atom(name)) for name in schema.metavariables})
-    return LawSchema(f"dual({schema.name})", lhs, rhs, schema.connective_map)
+    """Swap `and` and `or` in both templates. Undefined for a schema with
+    xor templates."""
+    if any(type(node) is Xor for t in (schema.lhs, schema.rhs) for _, node in subformulas(t)):
+        raise UnsupportedConnectiveError("duality is undefined for xor templates")
+    swap = {And: Or, Or: And}
+    return LawSchema(f"dual({schema.name})", _rebuild(schema.lhs, {}, swap),
+                     _rebuild(schema.rhs, {}, swap))
 
 
 def _odd_worlds(n: int) -> int:

@@ -74,7 +74,6 @@ def _cmd_laws(args: SimpleNamespace) -> dict:
             "name": law.name,
             "status": verdict.status.value,
             "counterexample": verdict.counterexample,
-            "binding": verdict.binding,
         })
     return {"command": "laws", "connectives": args.connectives, "laws": rows}
 

@@ -1,6 +1,6 @@
 """Object language: aspect-annotated atoms, binary connectives, parsing and
 printing, the corpus of schematic coordination examples, and law schemas,
-whose templates are formulas of the same language.
+each a pair of formulas of the same language over metavariable atoms.
 
 Grammar (lowercase keywords, right-associative binary connectives):
 
@@ -151,17 +151,18 @@ def or_nodes(f: Formula) -> list[Or]:
     return [node for _, node in sorted(zip(numbers, ors))]  # no two numbers are equal
 
 
-def _rebuild(f: Formula, leaf: Callable[[AtomNode], Formula],
+def _rebuild(f: Formula, atom: Mapping[str, Formula],
              connective: Mapping[type, type]) -> Formula:
-    """Rebuild f bottom-up: atom nodes through `leaf`, binary nodes as
-    `connective[type(node)]`, negation as is."""
+    """Rebuild f bottom-up with each atom node named in `atom` replaced by
+    its formula and each binary node of a type in `connective` built as that
+    type; every other node keeps its kind."""
     kind = type(f)
     if kind is AtomNode:
-        return leaf(f)
+        return atom.get(f.atom.name, f)
     if kind is Not:
-        return Not(_rebuild(f.child, leaf, connective))
-    return connective[kind](_rebuild(f.left, leaf, connective),
-                            _rebuild(f.right, leaf, connective))
+        return Not(_rebuild(f.child, atom, connective))
+    return connective.get(kind, kind)(_rebuild(f.left, atom, connective),
+                                      _rebuild(f.right, atom, connective))
 
 
 # ---------------------------------------------------------------------------
@@ -371,69 +372,49 @@ def corpus_lookup(label: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# Law schemas: templates are formulas over metavariable atoms, in which `and`
-# stands for meet and `or` for join
-
-MEET = "meet"
-JOIN = "join"
-
-_ROLE = {And: MEET, Or: JOIN}
-_CONNECTIVE = {"and": And, "or": Or, "xor": Xor}
+# Law schemas: two templates, formulas over metavariable atoms that carry
+# their concrete connectives
 
 
 class LawSchema(Record, uncompared=("name",)):
-    """A candidate identity: two templates plus a map from meet and join to
-    concrete connectives. A template is a formula whose atoms are the
-    metavariables (their aspects are ignored), with `and` for meet, `or` for
-    join, and no `not` or `xor`. Name is informational only: equality and
+    """A candidate identity: two templates, formulas whose atoms are the
+    metavariables (their aspects are ignored), built from `and` and one join,
+    `or` or `xor`, with no `not`. Name is informational only: equality and
     hashing ignore it."""
 
     name: str
     lhs: Formula
     rhs: Formula
-    connective_map: tuple[tuple[str, str], ...] = ((MEET, "and"), (JOIN, "or"))
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "connective_map", tuple(sorted(set(self.connective_map))))
-        table = dict(self.connective_map)
-        if len(table) != len(self.connective_map):
-            raise ValueError(f"{self.name}: conflicting connective_map entries")
         kinds = {type(node) for t in (self.lhs, self.rhs) for _, node in subformulas(t)}
-        if kinds & {Not, Xor}:
-            raise ValueError(f"{self.name}: a template may use only 'and' and 'or'")
-        used = {_ROLE[kind] for kind in kinds if kind in _ROLE}
-        if not used <= table.keys():
-            raise ValueError(f"{self.name}: connective_map not total on {used - table.keys()}")
-        for src, dst in self.connective_map:
-            if src not in (MEET, JOIN) or dst not in _CONNECTIVE:
-                raise ValueError(f"{self.name}: bad connective_map entry {(src, dst)!r}")
+        if Not in kinds or {Or, Xor} <= kinds:
+            raise ValueError(
+                f"{self.name}: a template may use only 'and' and one of 'or' or 'xor'")
 
     @property
     def metavariables(self) -> set[str]:
         return set(atoms(self.lhs)) | set(atoms(self.rhs))
 
-    def with_connectives(self, **ops: str) -> "LawSchema":
-        """Same templates, different concrete connectives, e.g. join='xor'."""
-        table = {**dict(self.connective_map), **ops}
-        return LawSchema(self.name, self.lhs, self.rhs, tuple(table.items()))
+    def with_connectives(self, join: str) -> "LawSchema":
+        """The same law with every join node, `or` or `xor`, made `join`,
+        'or' or 'xor'."""
+        kind = {"or": Or, "xor": Xor}.get(join)
+        if kind is None:
+            raise ValueError(f"{self.name}: join must be 'or' or 'xor', not {join!r}")
+        swap = {Or: kind, Xor: kind}
+        return LawSchema(self.name, _rebuild(self.lhs, {}, swap), _rebuild(self.rhs, {}, swap))
 
 
 def instantiate(schema: LawSchema, binding: Mapping[str, Formula]) -> tuple[Formula, Formula]:
-    """Substitute formulas for metavariables and concrete connectives for
-    meet/join. Like any formula's, each result's or-nodes are numbered by
-    position, those inside the substituted formulas too."""
-    table = dict(schema.connective_map)
-    connective = {kind: _CONNECTIVE[table[role]] for kind, role in _ROLE.items()
-                  if role in table}
-
-    def bind(node: AtomNode) -> Formula:
-        try:
-            return binding[node.atom.name]
-        except KeyError:
+    """Substitute formulas for metavariables; the connectives stay. Like any
+    formula's, each result's or-nodes are numbered by position, those inside
+    the substituted formulas too."""
+    for name in {**atoms(schema.lhs), **atoms(schema.rhs)}:
+        if name not in binding:
             raise UnboundMetavariableError(
-                f"{schema.name}: no binding for metavariable {node.atom.name!r}") from None
-
-    return _rebuild(schema.lhs, bind, connective), _rebuild(schema.rhs, bind, connective)
+                f"{schema.name}: no binding for metavariable {name!r}")
+    return _rebuild(schema.lhs, binding, {}), _rebuild(schema.rhs, binding, {})
 
 
 DIS1 = LawSchema("Dis.1", parse("X and (Y or Z)"), parse("(X and Y) or (X and Z)"))

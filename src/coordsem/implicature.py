@@ -108,8 +108,9 @@ def assertions(f: Formula) -> list[EpistemicConstraint]:
 def _strong(f: Formula, mode: Mode, opinionated: Sequence[int], ors: int) -> Container[int]:
     """The numbers of f's `ors` or-nodes that get a strong form: all of them
     in gazdar mode, the opinionated ones in soames mode. Refuses an
-    opinionated id outside soames mode or one that numbers none of f's
-    or-nodes, checking the ids in their order."""
+    opinionated id outside soames mode, one that numbers none of f's
+    or-nodes, or one that is not an int (a bool or a float that `range`
+    admits), checking the ids in their order."""
     ids = range(ors)
     for n in opinionated:
         if mode is not Mode.SOAMES:
@@ -118,6 +119,8 @@ def _strong(f: Formula, mode: Mode, opinionated: Sequence[int], ors: int) -> Con
         if n not in ids:
             raise WorkbenchError(f"no or-node {n!r}: the or-node ids of {unparse(f)!r} "
                                  f"are {list(ids) or 'none'}")
+        if type(n) is not int:
+            raise WorkbenchError(f"an or-node id must be an int, got {n!r}")
     return ids if mode is Mode.GAZDAR else opinionated
 
 

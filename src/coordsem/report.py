@@ -11,13 +11,11 @@ from . import implicature as imp
 from ._record import Record
 from .boolean import LawVerdict, check_law, equivalent, eval_formula, xor_parity
 from .formula import (
+    DIS1,
     STANDARD_LAWS,
-    Atom,
-    AtomNode,
     Formula,
     LawSchema,
     corpus_lookup,
-    instantiate,
     length_metric,
     parse,
     unparse,
@@ -183,10 +181,8 @@ def _law_record(prefix: str, law: LawSchema, expected_status: str) -> ReportReco
     if verdict.valid:
         computed: dict[str, object] = {"status": "valid", "witness_separates": None}
     else:
-        binding = {name: AtomNode(Atom(atom)) for name, atom in verdict.binding.items()}
-        lhs, rhs = instantiate(law, binding)
         witness = verdict.counterexample
-        separates = eval_formula(lhs, witness) != eval_formula(rhs, witness)
+        separates = eval_formula(law.lhs, witness) != eval_formula(law.rhs, witness)
         computed = {"status": "invalid", "witness_separates": separates}
     expected = {"status": expected_status,
                 "witness_separates": True if expected_status == "invalid" else None}
@@ -293,8 +289,7 @@ def brevity_records() -> list[ReportRecord]:
         la = length_metric(corpus_lookup(left))
         lb = length_metric(corpus_lookup(right))
         records.append(ReportRecord(claim, f"{left} vs {right}", expected, relation(la, lb)))
-    lhs, rhs = instantiate(LAWS_BY_NAME["Dis.1"],
-                           {v: AtomNode(Atom(v)) for v in ("X", "Y", "Z")})
+    lhs, rhs = DIS1.lhs, DIS1.rhs
     records.append(ReportRecord(
         "brevity.dis1_rhs_vs_lhs", f"{unparse(rhs)} vs {unparse(lhs)}",
         "longer", relation(length_metric(rhs), length_metric(lhs))))

@@ -16,8 +16,6 @@ import pytest
 
 from coordsem import (
     STANDARD_LAWS,
-    Atom,
-    AtomNode,
     Category,
     Mode,
     Polarity,
@@ -33,7 +31,6 @@ from coordsem import (
     denote_options,
     eval_formula,
     grid,
-    instantiate,
     judge,
     length_metric,
     parse,
@@ -77,9 +74,8 @@ def test_criterion_02_xor_substitution():
         if verdict.counterexample is None:
             failures.append(f"{name}: no witness reported")
             continue
-        binding = {mv: AtomNode(Atom(atom)) for mv, atom in verdict.binding.items()}
-        lhs, rhs = instantiate(schema, binding)
-        if eval_formula(lhs, verdict.counterexample) == eval_formula(rhs, verdict.counterexample):
+        witness = verdict.counterexample
+        if eval_formula(schema.lhs, witness) == eval_formula(schema.rhs, witness):
             failures.append(f"{name}: witness does not separate the sides")
     _report("criterion 2: xor keeps Dis.1, breaks Dis.2/Abs/Ide.1 with witnesses",
             not failures, failures)
@@ -198,8 +194,7 @@ def test_criterion_08_brevity_does_not_explain_the_data():
         failures.append("length(2b) != length(1b)")
     if not length_metric(corpus_lookup("5a")) > length_metric(corpus_lookup("5b")):
         failures.append("length(5a) not > length(5b)")
-    lhs, rhs = instantiate(DIS1, {v: AtomNode(Atom(v)) for v in ("X", "Y", "Z")})
-    if not length_metric(rhs) > length_metric(lhs):
+    if not length_metric(DIS1.rhs) > length_metric(DIS1.lhs):
         failures.append("Dis.1 instance: rhs not longer than lhs")
     _report("criterion 8: the three brevity comparisons", not failures, failures)
 

@@ -25,12 +25,13 @@ from coordsem import (
     Xor,
     UnsupportedConnectiveError,
     Verdict,
+    LawSchema,
+    LawVerdict,
     check_law,
     corpus_lookup,
     dual,
     equivalent,
     eval_formula,
-    instantiate,
     parse,
     unparse,
     xor_parity,
@@ -126,11 +127,9 @@ def test_check_law_xor_substitution(law):
     verdict = check_law(schema)
     assert verdict.valid is XOR_EXPECTED[law.name]
     if not verdict.valid:
-        # the reported witness must actually separate the two sides
-        binding = {name: AtomNode(Atom(name)) for name in verdict.binding}
-        lhs, rhs = instantiate(schema, binding)
-        assert eval_formula(lhs, verdict.counterexample) != \
-            eval_formula(rhs, verdict.counterexample)
+        # the reported witness must actually separate the two templates
+        assert eval_formula(schema.lhs, verdict.counterexample) != \
+            eval_formula(schema.rhs, verdict.counterexample)
 
 
 def test_xor_dis2_witness_value():
@@ -138,65 +137,75 @@ def test_xor_dis2_witness_value():
     assert verdict.counterexample == {"X": True, "Y": True, "Z": False}
 
 
-# Each standard law under three connective maps, with frozen results: the
-# identity instance of both sides, the verdict with its counterexample and
-# binding, and the dual's identity instance (None where the map reaches xor
-# and duality is undefined).
+# The standard laws with `or` in place of `and`, built by hand.
+MEET_AS_OR = {
+    "Dis.1": ("X or (Y or Z)", "(X or Y) or (X or Z)"),
+    "Dis.2": ("X or (Y or Z)", "(X or Y) or (X or Z)"),
+    "Abs.1": ("X or (X or Y)", "X"),
+    "Abs.2": ("X or (X or Y)", "X"),
+    "Ide.1": ("X or X", "X"),
+    "Ide.2": ("X or X", "X"),
+}
+
+# Each standard law in three variants, with frozen results: both templates,
+# the verdict with its counterexample, and the dual's templates (None where
+# a template holds xor and duality is undefined).
 LAW_TABLE = [
-    ("Dis.1", {}, ("X and (Y or Z)", "X and Y or X and Z"), "valid", None,
+    ("Dis.1", "classical", ("X and (Y or Z)", "X and Y or X and Z"), "valid", None,
      ("X or Y and Z", "(X or Y) and (X or Z)")),
-    ("Dis.1", {"join": "xor"}, ("X and (Y xor Z)", "X and Y xor X and Z"), "valid", None, None),
-    ("Dis.1", {"meet": "or"}, ("X or Y or Z", "(X or Y) or X or Z"), "valid", None,
-     ("X or Y or Z", "(X or Y) or X or Z")),
-    ("Dis.2", {}, ("X or Y and Z", "(X or Y) and (X or Z)"), "valid", None,
+    ("Dis.1", "join=xor", ("X and (Y xor Z)", "X and Y xor X and Z"), "valid", None, None),
+    ("Dis.1", "meet=or", ("X or Y or Z", "(X or Y) or X or Z"), "valid", None,
+     ("X and Y and Z", "(X and Y) and X and Z")),
+    ("Dis.2", "classical", ("X or Y and Z", "(X or Y) and (X or Z)"), "valid", None,
      ("X and (Y or Z)", "X and Y or X and Z")),
-    ("Dis.2", {"join": "xor"}, ("X xor Y and Z", "(X xor Y) and (X xor Z)"), "invalid",
+    ("Dis.2", "join=xor", ("X xor Y and Z", "(X xor Y) and (X xor Z)"), "invalid",
      {"X": True, "Y": True, "Z": False}, None),
-    ("Dis.2", {"meet": "or"}, ("X or Y or Z", "(X or Y) or X or Z"), "valid", None,
-     ("X or Y or Z", "(X or Y) or X or Z")),
-    ("Abs.1", {}, ("X or X and Y", "X"), "valid", None, ("X and (X or Y)", "X")),
-    ("Abs.1", {"join": "xor"}, ("X xor X and Y", "X"), "invalid",
-     {"X": True, "Y": True}, None),
-    ("Abs.1", {"meet": "or"}, ("X or X or Y", "X"), "invalid",
-     {"X": False, "Y": True}, ("X or X or Y", "X")),
-    ("Abs.2", {}, ("X and (X or Y)", "X"), "valid", None, ("X or X and Y", "X")),
-    ("Abs.2", {"join": "xor"}, ("X and (X xor Y)", "X"), "invalid",
-     {"X": True, "Y": True}, None),
-    ("Abs.2", {"meet": "or"}, ("X or X or Y", "X"), "invalid",
-     {"X": False, "Y": True}, ("X or X or Y", "X")),
-    ("Ide.1", {}, ("X or X", "X"), "valid", None, ("X and X", "X")),
-    ("Ide.1", {"join": "xor"}, ("X xor X", "X"), "invalid", {"X": True}, None),
-    ("Ide.1", {"meet": "or"}, ("X or X", "X"), "valid", None, ("X or X", "X")),
-    ("Ide.2", {}, ("X and X", "X"), "valid", None, ("X or X", "X")),
-    ("Ide.2", {"join": "xor"}, ("X and X", "X"), "valid", None, None),
-    ("Ide.2", {"meet": "or"}, ("X or X", "X"), "valid", None, ("X or X", "X")),
+    ("Dis.2", "meet=or", ("X or Y or Z", "(X or Y) or X or Z"), "valid", None,
+     ("X and Y and Z", "(X and Y) and X and Z")),
+    ("Abs.1", "classical", ("X or X and Y", "X"), "valid", None, ("X and (X or Y)", "X")),
+    ("Abs.1", "join=xor", ("X xor X and Y", "X"), "invalid", {"X": True, "Y": True}, None),
+    ("Abs.1", "meet=or", ("X or X or Y", "X"), "invalid",
+     {"X": False, "Y": True}, ("X and X and Y", "X")),
+    ("Abs.2", "classical", ("X and (X or Y)", "X"), "valid", None, ("X or X and Y", "X")),
+    ("Abs.2", "join=xor", ("X and (X xor Y)", "X"), "invalid", {"X": True, "Y": True}, None),
+    ("Abs.2", "meet=or", ("X or X or Y", "X"), "invalid",
+     {"X": False, "Y": True}, ("X and X and Y", "X")),
+    ("Ide.1", "classical", ("X or X", "X"), "valid", None, ("X and X", "X")),
+    ("Ide.1", "join=xor", ("X xor X", "X"), "invalid", {"X": True}, None),
+    ("Ide.1", "meet=or", ("X or X", "X"), "valid", None, ("X and X", "X")),
+    ("Ide.2", "classical", ("X and X", "X"), "valid", None, ("X or X", "X")),
+    # no join node, so the xor variant is the law itself, and has a dual
+    ("Ide.2", "join=xor", ("X and X", "X"), "valid", None, ("X or X", "X")),
+    ("Ide.2", "meet=or", ("X or X", "X"), "valid", None, ("X and X", "X")),
 ]
 
 LAWS_BY_NAME = {law.name: law for law in STANDARD_LAWS}
 
 
-def _identity_instance(schema):
-    binding = {name: AtomNode(Atom(name)) for name in schema.metavariables}
-    return tuple(unparse(side) for side in instantiate(schema, binding))
+def _variant(name, variant):
+    if variant == "meet=or":
+        return LawSchema(name, *map(parse, MEET_AS_OR[name]))
+    law = LAWS_BY_NAME[name]
+    return law.with_connectives(join="xor") if variant == "join=xor" else law
 
 
-@pytest.mark.parametrize("name, ops, sides, status, counterexample, dual_sides", LAW_TABLE,
-                         ids=[f"{row[0]}-{'-'.join(map('='.join, row[1].items())) or 'classical'}"
-                              for row in LAW_TABLE])
-def test_law_table(name, ops, sides, status, counterexample, dual_sides):
-    schema = LAWS_BY_NAME[name].with_connectives(**ops)
-    assert _identity_instance(schema) == sides
-    verdict = check_law(schema)
-    assert verdict.status.value == status
-    assert verdict.counterexample == counterexample
-    assert verdict.binding == (None if counterexample is None
-                               else {v: v for v in counterexample})
+def _sides(schema):
+    return unparse(schema.lhs), unparse(schema.rhs)
+
+
+@pytest.mark.parametrize("name, variant, sides, status, counterexample, dual_sides", LAW_TABLE,
+                         ids=[f"{row[0]}-{row[1]}" for row in LAW_TABLE])
+def test_law_table(name, variant, sides, status, counterexample, dual_sides):
+    schema = _variant(name, variant)
+    assert _sides(schema) == sides
+    assert check_law(schema) == LawVerdict(Verdict(status), counterexample)
     if dual_sides is None:
         with pytest.raises(UnsupportedConnectiveError):
             dual(schema)
     else:
         assert dual(schema).name == f"dual({name})"
-        assert _identity_instance(dual(schema)) == dual_sides
+        assert _sides(dual(schema)) == dual_sides
+        assert dual(dual(schema)) == schema
 
 
 def test_dual_pairs():
@@ -205,11 +214,13 @@ def test_dual_pairs():
     assert dual(ABS1) == ABS2
     assert dual(IDE1) == IDE2
     assert dual(dual(IDE1)) == IDE1
+    assert dual(IDE2.with_connectives(join="xor")) == IDE1
 
 
 def test_dual_rejects_xor():
-    with pytest.raises(UnsupportedConnectiveError):
-        dual(DIS1.with_connectives(join="xor"))
+    for law in STANDARD_LAWS[:5]:
+        with pytest.raises(UnsupportedConnectiveError):
+            dual(law.with_connectives(join="xor"))
 
 
 def test_duality_principle():

@@ -37,7 +37,7 @@ from coordsem import (
     unparse,
 )
 from coordsem import formula
-from coordsem.formula import CORPUS_LABELS, ITERABLE, JOIN, MEET, or_nodes, subformulas
+from coordsem.formula import CORPUS_LABELS, ITERABLE, or_nodes, subformulas
 
 A, B, C = (AtomNode(Atom(n)) for n in "ABC")
 
@@ -304,28 +304,55 @@ def test_law_schema_templates_are_formulas():
     assert not check_law(LawSchema("Abs.0", parse("X and Y"), parse("X"))).valid
 
 
-_CLASSICAL = ((MEET, "and"), (JOIN, "or"))
-
-
-@pytest.mark.parametrize("lhs, rhs, connective_map, reason", [
-    ("X and not Y", "X", _CLASSICAL, "only 'and' and 'or'"),
-    ("X", "not X", _CLASSICAL, "only 'and' and 'or'"),
-    ("X xor Y", "Y xor X", _CLASSICAL, "only 'and' and 'or'"),
-    ("X or Y", "Y or X", ((MEET, "and"),), "not total on {'join'}"),
-    ("X and Y", "Y and X", ((MEET, "and"), (MEET, "or")), "conflicting"),
-    ("X and Y", "Y and X", ((MEET, "nand"),), "bad connective_map entry"),
-    ("X and Y", "Y and X", ((MEET, "and"), ("top", "or")), "bad connective_map entry"),
+@pytest.mark.parametrize("lhs, rhs", [
+    ("X and not Y", "X"),
+    ("X", "not X"),
+    ("X or Y", "X xor Y"),
+    ("X and (Y or Z)", "X and Y xor X and Z"),
 ])
-def test_law_schema_rejects(lhs, rhs, connective_map, reason):
-    with pytest.raises(ValueError, match=re.escape(reason)):
-        LawSchema("Bad", parse(lhs), parse(rhs), connective_map)
+def test_law_schema_refuses_not_and_two_joins(lhs, rhs):
+    with pytest.raises(ValueError, match="only 'and' and one of 'or' or 'xor'"):
+        LawSchema("Bad", parse(lhs), parse(rhs))
+
+
+def test_law_schema_takes_either_join():
+    xor = LawSchema("Comm.2", parse("X xor Y"), parse("Y xor X"))
+    assert check_law(xor).valid
+    assert LawSchema("Comm.3", parse("X or Y"), parse("Y or X")).with_connectives(join="xor") == xor
+
+
+def test_with_connectives_rewrites_every_join_node_and_round_trips():
+    for law in (DIS1, DIS2, ABS1, ABS2, IDE1, IDE2):
+        xor = law.with_connectives(join="xor")
+        assert not any(isinstance(node, Or) for t in (xor.lhs, xor.rhs)
+                       for _, node in subformulas(t))
+        assert (unparse(xor.lhs), unparse(xor.rhs)) == tuple(
+            unparse(t).replace(" or ", " xor ") for t in (law.lhs, law.rhs))
+        assert xor.name == law.name
+        assert xor.with_connectives(join="xor") == xor
+        assert xor.with_connectives(join="or") == law
+        assert law.with_connectives(join="or") == law
+    # a template with no join node has nothing to rewrite
+    assert IDE2.with_connectives(join="xor") == IDE2
 
 
 def test_with_connectives_rejects_unknown_connectives():
-    with pytest.raises(ValueError, match="bad connective_map entry"):
-        DIS1.with_connectives(join="nand")
-    with pytest.raises(ValueError, match="bad connective_map entry"):
-        DIS1.with_connectives(top="or")
+    for join in ("nand", "and", "not"):
+        with pytest.raises(ValueError, match=f"join must be 'or' or 'xor', not '{join}'"):
+            DIS1.with_connectives(join=join)
+    with pytest.raises(TypeError):
+        DIS1.with_connectives(meet="or")
+
+
+def test_instantiate_substitutes_atoms_only():
+    lhs, rhs = instantiate(DIS2.with_connectives(join="xor"), {"X": A, "Y": B, "Z": C})
+    assert (lhs, rhs) == (parse("A xor (B and C)"), parse("(A xor B) and (A xor C)"))
+    # the bound formulas keep their own connectives, the template's stay
+    lhs, rhs = instantiate(IDE1, {"X": parse("not A xor B")})
+    assert (lhs, rhs) == (parse("(not A xor B) or (not A xor B)"), parse("not A xor B"))
+    # the first unbound metavariable in textual order, left side first, is named
+    with pytest.raises(UnboundMetavariableError, match="^Dis.1: no binding for metavariable 'Y'$"):
+        instantiate(DIS1, {"X": A})
 
 
 def test_law_schema_equality_ignores_name():

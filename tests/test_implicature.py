@@ -377,8 +377,12 @@ def test_an_unknown_mode_is_refused(mode):
      "opinionated or-node ids apply to soames mode only, got 0 in gazdar mode"),
     ("A and B", "gazdar", (3,),
      "opinionated or-node ids apply to soames mode only, got 3 in gazdar mode"),
+    # `range` admits True as 1 and 0.0 as 0, so the type is checked too
+    ("A or B or C", "soames", (True,), "an or-node id must be an int, got True"),
+    ("A or B", "soames", (0.0,), "an or-node id must be an int, got 0.0"),
+    ("A or B or C", "soames", (1, False, 7), "an or-node id must be an int, got False"),
 ], ids=["past-the-end", "negative", "one-of-two", "no-or-node", "a-string", "gazdar",
-        "gazdar-no-or-node"])
+        "gazdar-no-or-node", "a-bool", "a-float", "a-bool-before-a-bad-id"])
 def test_a_bad_opinionated_id_is_refused(text, mode, opinionated, message):
     for call in (project, potential_scalar):
         with pytest.raises(WorkbenchError) as err:

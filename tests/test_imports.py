@@ -91,6 +91,7 @@ def test_the_scan_flags_a_function_only_it_calls():
 # code and belongs in `tests/` (ROADMAP item 8).
 UNCALLED = {
     "boolean.dual": "public API: the README's quick reference documents it",
+    "formula.instantiate": "public API: the README's quick reference documents it",
     "implicature.potential_clausal": "public API: the README's quick reference documents it",
     "implicature.potential_scalar": "public API: the README's quick reference documents it",
     "relevance.grid": "benchmarks/spans.py wraps it as a counter (ROADMAP item 1)",

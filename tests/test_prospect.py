@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import sys
+from itertools import product
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coordsem import (
+    ABS1,
+    ABS2,
+    DIS1,
+    DIS2,
+    IDE1,
+    IDE2,
+    STANDARD_LAWS,
     And,
     Atom,
     AtomLimitError,
@@ -23,6 +31,7 @@ from coordsem import (
     UnsupportedConnectiveError,
     WorkbenchError,
     Xor,
+    check_law,
     compare,
     corpus_lookup,
     denote_one,
@@ -31,6 +40,7 @@ from coordsem import (
     judge,
     option_equivalent,
     parse,
+    unparse,
 )
 from coordsem import boolean, formula, prospect
 from coordsem.boolean import assignments, truth_mask
@@ -638,3 +648,124 @@ def test_the_option_set_fixes_the_truth_table_of_every_small_formula():
     for f in formulas:
         _assert_the_option_set_fixes_the_truth_table(f)
     assert len(formulas) == 237
+
+
+# ---------------------------------------------------------------------------
+# The law matrix under option sets, read off the templates
+
+def test_the_law_matrix_under_option_sets():
+    rows = {law.name: compare(law.lhs, law.rhs) for law in STANDARD_LAWS}
+    assert all(row.boolean_equivalent for row in rows.values())
+    assert [name for name, row in rows.items() if row.option_equivalent] == ["Dis.1", "Ide.1"]
+    assert {name: str(row.options.witness) for name, row in rows.items()
+            if not row.option_equivalent} == {
+        "Dis.2": "X + X", "Abs.1": "X + Y", "Abs.2": "X", "Ide.2": "X"}
+    assert [name for name, row in rows.items() if row.judged_equivalent] == ["Dis.1"]
+    # the paper's dual pairs: at least one member of each fails under option
+    # sets and under xor, and none fails classically
+    for first, second in ((DIS1, DIS2), (ABS1, ABS2), (IDE1, IDE2)):
+        assert not (rows[first.name].option_equivalent and rows[second.name].option_equivalent)
+        assert not (check_law(first.with_connectives(join="xor")).valid
+                    and check_law(second.with_connectives(join="xor")).valid)
+        assert check_law(first).valid and check_law(second).valid
+
+
+# ---------------------------------------------------------------------------
+# Hobson's choice is tested per or-node, so bracketing decides it
+
+def test_bracketing_decides_hobsons_choice():
+    right, left = parse("A or A or B"), parse("(A or A) or B")
+    assert right == parse("A or (A or B)")  # `or` groups to the right
+    assert judge(right) == Judgment(Category.ACCEPTABLE)
+    assert judge(left) == Judgment(Category.ODD_HOBSON, hobson_nodes=(0,))
+    assert denote_options(right) == denote_options(left) == denote_options(parse("A or B"))
+
+
+# ---------------------------------------------------------------------------
+# Substructural oracle: `and` as tensor and `or` as plus (additive
+# disjunction) in intuitionistic linear logic. A sequent's context is a
+# multiset, with neither weakening nor contraction, so Gamma |- C should be
+# provable iff every option of Gamma's tensor is an option of C. The search
+# shares no code with the option pass: it reads only the AST.
+
+def provable(context: tuple, goal) -> bool:
+    """Cut-free proof search for `context |- goal`: the invertible left rules
+    first, then the right rules on each atom context they leave."""
+    return all(_right(names, goal) for names in _atomic(context))
+
+
+def _atomic(context: tuple) -> set:
+    """The atom contexts, as sorted tuples of names, that the left rules
+    reduce `context` to: tensor-left splits an `and` into its two parts, and
+    plus-left needs a proof for each branch of an `or`."""
+    for i, f in enumerate(context):
+        rest = context[:i] + context[i + 1:]
+        if type(f) is And:
+            return _atomic(rest + (f.left, f.right))
+        if type(f) is Or:
+            return _atomic(rest + (f.left,)) | _atomic(rest + (f.right,))
+    return {tuple(sorted(f.atom.name for f in context))}
+
+
+def _right(names: tuple, goal) -> bool:
+    """Identity only on a one-atom context; plus-right tries either branch;
+    tensor-right tries every split of the atom multiset."""
+    kind = type(goal)
+    if kind is AtomNode:
+        return names == (goal.atom.name,)
+    if kind is Or:
+        return _right(names, goal.left) or _right(names, goal.right)
+    return any(_right(left, goal.left) and _right(right, goal.right)
+               for left, right in _splits(names))
+
+
+def _splits(names: tuple):
+    """Each way to part a sorted multiset of names in two, as sorted tuples."""
+    distinct = sorted(set(names))
+    counts = [names.count(name) for name in distinct]
+    for taken in product(*(range(n + 1) for n in counts)):
+        yield (tuple(name for name, k in zip(distinct, taken) for _ in range(k)),
+               tuple(name for name, k, n in zip(distinct, taken, counts) for _ in range(n - k)))
+
+
+def test_substructural_sequents_of_the_judgment_data():
+    assert provable((parse("A"),), parse("A or B"))
+    assert not provable((parse("A and B"),), parse("A"))  # no weakening
+    assert not provable((parse("A"),), parse("A and A"))  # no contraction: the double image
+    assert provable((parse("A and A"),), parse("A and A"))
+    assert provable((parse("A"), parse("B")), parse("B and A"))
+
+
+def provable_pairs(formulas, goals) -> int:
+    """Require `f |- g` iff `f`'s options are among `g`'s, for every f and g;
+    returns how many sequents were provable. Each f's atom contexts, and each
+    atom context against each g, are searched once."""
+    contexts = [_atomic((f,)) for f in formulas]
+    every_context = set().union(*contexts)
+    options = [set(denote_options(f)) for f in formulas]
+    found = 0
+    for g in goals:
+        proves = {names: _right(names, g) for names in every_context}
+        g_options = set(denote_options(g))
+        for f, f_contexts, f_options in zip(formulas, contexts, options):
+            proved = all(proves[names] for names in f_contexts)
+            assert proved == (f_options <= g_options), (unparse(f), unparse(g))
+            found += proved
+    return found
+
+
+def test_substructural_provability_is_option_inclusion_on_every_small_pair():
+    formulas = and_or_formulas(3)
+    assert len(formulas) ** 2 == 56169
+    assert provable_pairs(formulas, formulas) == 3441
+
+
+_small = st.recursive(_leaf, lambda kids: st.one_of(st.builds(And, kids, kids),
+                                                    st.builds(Or, kids, kids)), max_leaves=4)
+
+
+@given(_small, _small, _small)
+def test_substructural_provability_is_option_inclusion(f, g, goal):
+    # a context of two formulas is their tensor
+    options = denote_options(goal)
+    assert provable((f, g), goal) == all(p in options for p in denote_options(And(f, g)))

@@ -71,7 +71,6 @@ class LawSchema:
     name: str = field(compare=False)
     lhs: object
     rhs: object
-    connective_map: tuple = ((fm.MEET, "and"), (fm.JOIN, "or"))
     __post_init__ = fm.LawSchema.__post_init__
 
 
@@ -168,7 +167,6 @@ class LikelihoodPair:
 class LawVerdict:
     status: boolean.Verdict
     counterexample: Optional[dict] = None
-    binding: Optional[dict] = None
 
 
 TWINS = {
@@ -316,14 +314,13 @@ CONSTRUCTIONS = [
     (fm.Atom, ("A",), {"aspect": fm.ITERABLE}),
     (fm.Or, (_a,), {"right": _b}),
     (fm.LawSchema, ("L", _a, _b), {}),
-    (fm.LawSchema, (), {"name": "L", "lhs": fm.parse("X or Y"), "rhs": fm.parse("Y or X"),
-                        "connective_map": ((fm.JOIN, "xor"), (fm.JOIN, "xor"))}),
+    (fm.LawSchema, (), {"name": "L", "lhs": fm.parse("X xor Y"), "rhs": fm.parse("Y xor X")}),
     (ps.OptionComparison, (True,), {}),
     (ps.OptionComparison, (False,), {"witness": ps.Prospect((("A", 1),))}),
     (ps.Judgment, (ps.Category.ACCEPTABLE,), {}),
     (ps.Judgment, (ps.Category.ODD_HOBSON,), {"hobson_nodes": (0,)}),
     (boolean.LawVerdict, (boolean.Verdict.VALID,), {}),
-    (boolean.LawVerdict, (boolean.Verdict.INVALID,), {"binding": {"X": "X"}}),
+    (boolean.LawVerdict, (boolean.Verdict.INVALID,), {"counterexample": {"X": True}}),
     (rl.LikelihoodPair, (), {"given_not_h": Fraction(1, 3), "given_h": Fraction(1, 2)}),
 ]
 
@@ -357,12 +354,12 @@ BAD_CALLS = [
     (fm.And, (_a,), {}),
     (fm.And, (_a, _b, _a), {}),
     (fm.And, (), {"right": _b}),
-    (boolean.LawVerdict, (), {"binding": None}),  # defaults
-    (boolean.LawVerdict, (boolean.Verdict.VALID, None, None, None), {}),
+    (boolean.LawVerdict, (), {"counterexample": None}),  # defaults
+    (boolean.LawVerdict, (boolean.Verdict.VALID, None, None), {}),
     (boolean.LawVerdict, (boolean.Verdict.VALID, None), {"counterexample": None}),
-    (fm.LawSchema, ("L",), {"connective_map": ()}),  # a __post_init__
+    (fm.LawSchema, ("L",), {"lhs": _a}),  # a __post_init__
     (fm.LawSchema, ("L", _a, _b), {"name": "M"}),
-    (fm.LawSchema, ("L", _a, _b, (), None), {}),
+    (fm.LawSchema, ("L", _a, _b, ()), {}),
 ]
 
 
@@ -392,9 +389,9 @@ POST_INIT_ERRORS = [
     (rl.RationalDist, (("A",), (_F(3, 2), _F(-1, 2)))),
     (rl.RationalDist, (("A",), (_F(1, 2), _F(1, 4)))),
     (fm.LawSchema, ("L", fm.parse("not X"), fm.parse("X"))),
-    (fm.LawSchema, ("L", fm.parse("X or Y"), fm.parse("Y or X"), ((fm.MEET, "and"),))),
-    (fm.LawSchema, ("L", _a, _b, ((fm.JOIN, "or"), (fm.JOIN, "and")))),
-    (fm.LawSchema, ("L", _a, _b, (("top", "or"),))),
+    (fm.LawSchema, ("L", fm.parse("X or Y"), fm.parse("Y xor X"))),
+    (fm.LawSchema, ("L", fm.parse("X xor (Y or Z)"), fm.parse("X"))),
+    (fm.LawSchema, ("L", _a, fm.parse("B xor not A"))),
 ]
 
 
